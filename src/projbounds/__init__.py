@@ -38,7 +38,13 @@ from .methods import (
     simultaneous_operator,
     verify_error_identity,
 )
-from .numlin import RankTolerance, null_space, orthonormal_basis, spectral_norm
+from .numlin import (
+    RankTolerance,
+    null_space,
+    orthonormal_basis,
+    spectral_norm,
+    symmetric_norm,
+)
 from .productspace import (
     ProductSpaceModel,
     build_product,
@@ -100,6 +106,7 @@ __all__ = [
     "simultaneous_affine",
     "simultaneous_operator",
     "spectral_norm",
+    "symmetric_norm",
     "verify_error_identity",
     "verify_norm_chain",
     "verify_pierra_lift",

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateError, InputError
-from .numlin import DEFAULT_TOL, RankTolerance, spectral_norm
+from .numlin import DEFAULT_TOL, RankTolerance, spectral_norm, symmetric_norm
 from .subspaces import Subspace, intersection, reduced_component
 
 __all__ = [
@@ -157,6 +157,6 @@ def friedrichs_from_norm(
             "does not determine a Friedrichs number here"
         )
     averaged = sum(S.projector() for S in subs) / r
-    nu = spectral_norm(averaged - common.projector())
+    nu = symmetric_norm(averaged - common.projector())
     raw = (r * nu - 1.0) / (r - 1.0)
     return _clamped(raw, False, ROUTE_NORM)

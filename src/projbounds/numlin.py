@@ -1,8 +1,12 @@
-"""Dense linear-algebra kernel: orthonormalization, null spaces, spectral norms.
+"""Dense linear-algebra kernel: orthonormalization, null spaces, operator norms.
 
 Everything downstream (subspaces, projectors, angle computations, iteration
-operators) reduces to the three operations in this module.  All routines are
-pure functions of float64 arrays; summations run in a fixed index order, so
+operators) reduces to the four operations in this module: orthonormal
+bases and null spaces from the SVD, the general spectral norm from the
+singular values, and the norm of a symmetric matrix from its extreme
+eigenvalues (``eigvalsh``), which is several times cheaper than the SVD and
+is used only where symmetry holds by construction.  All routines are pure
+functions of float64 arrays; summations run in a fixed index order, so
 repeated runs on the same platform are bit-reproducible.
 """
 
@@ -20,6 +24,7 @@ __all__ = [
     "orthonormal_basis",
     "null_space",
     "spectral_norm",
+    "symmetric_norm",
 ]
 
 
@@ -97,7 +102,7 @@ def orthonormal_basis(A, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
     return U[:, :rank].copy()
 
 
-def null_space(A, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
+def null_space(A, tol: RankTolerance = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the kernel {x : Ax = 0}.
 
     Parameters
@@ -107,6 +112,11 @@ def null_space(A, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
     tol : RankTolerance
         Rank decision policy (shared with :func:`orthonormal_basis`, so
         rank + nullity = n holds exactly).
+    scale : float
+        Floor on the magnitude the relative cutoff is measured against,
+        which is otherwise the largest singular value of A.  A caller whose
+        A may be rounding noise throughout passes the norm A has at full
+        strength, so that the noise is not counted as rank.
 
     Returns
     -------
@@ -119,8 +129,10 @@ def null_space(A, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
         raise InputError("null_space requires at least one column")
     if M.shape[0] == 0:
         return np.eye(M.shape[1])
-    _, s, Vt = np.linalg.svd(M, full_matrices=True)
-    rank = int(np.count_nonzero(s > tol.cutoff(M.shape, float(s[0]))))
+    # A thin SVD already yields all n right singular vectors when m >= n;
+    # only a wide matrix needs the full factorization for its kernel.
+    _, s, Vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    rank = int(np.count_nonzero(s > tol.cutoff(M.shape, max(float(s[0]), scale))))
     return Vt[rank:].T.copy()
 
 
@@ -133,3 +145,19 @@ def spectral_norm(A) -> float:
     if M.shape[0] == 0 or M.shape[1] == 0:
         raise InputError("spectral_norm requires a nonempty matrix")
     return float(np.linalg.svd(M, compute_uv=False)[0])
+
+
+def symmetric_norm(A) -> float:
+    """Operator 2-norm of a symmetric matrix: its largest absolute eigenvalue.
+
+    ``A`` is symmetrised as (A + A^T) / 2 first, so rounding-level asymmetry
+    is harmless; callers must guarantee symmetry by construction, since the
+    antisymmetric part is discarded, not measured.
+    """
+    M = as_matrix(A)
+    if M.shape[0] == 0 or M.shape[0] != M.shape[1]:
+        raise InputError(
+            f"symmetric_norm requires a nonempty square matrix, got {M.shape}"
+        )
+    w = np.linalg.eigvalsh((M + M.T) / 2.0)
+    return float(max(abs(w[0]), abs(w[-1])))

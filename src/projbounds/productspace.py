@@ -37,7 +37,7 @@ import numpy as np
 
 from .angles import cos_two, friedrichs_gram
 from .errors import DegenerateError, InputError
-from .numlin import DEFAULT_TOL, RankTolerance, as_vector, spectral_norm
+from .numlin import DEFAULT_TOL, RankTolerance, as_vector, symmetric_norm
 from .subspaces import Subspace, intersection
 
 __all__ = [
@@ -129,7 +129,7 @@ def _chain_setup(subs: list[Subspace], tol: RankTolerance):
     r = len(subs)
     T = sum(S.projector() for S in subs) / r
     P_M = intersection(subs, tol).projector()
-    one_step = spectral_norm(T - P_M)
+    one_step = symmetric_norm(T - P_M)
     q = (r - 1.0) / r * fr.value + 1.0 / r
     model = build_product(subs, tol)
     c_prod = cos_CD(model, tol)
@@ -137,7 +137,7 @@ def _chain_setup(subs: list[Subspace], tol: RankTolerance):
     P_D = model.D.projector()
     P_CD = intersection([model.C, model.D], tol).projector()
     T_prod = P_D @ P_C @ P_D
-    prod_one_step = spectral_norm(T_prod - P_CD)
+    prod_one_step = symmetric_norm(T_prod - P_CD)
     return T, P_M, one_step, q, c_prod, T_prod, P_CD, prod_one_step
 
 
@@ -167,12 +167,12 @@ def chain_residual_profile(
         if k in wanted:
             members = np.array(
                 [
-                    spectral_norm(Tk - P_M),
+                    symmetric_norm(Tk - P_M),
                     one_step**k,
                     q**k,
                     c_prod ** (2 * k),
                     prod_one_step**k,
-                    spectral_norm(Tpk - P_CD),
+                    symmetric_norm(Tpk - P_CD),
                 ]
             )
             out[k] = np.abs(np.diff(members))

@@ -3,8 +3,11 @@
 A subspace is represented by an orthonormal basis matrix; the trivial
 subspace (zero columns) is a first-class value whose projector is the zero
 matrix.  Bases are never canonicalized beyond orthonormality: two bases of
-the same subspace may differ by a rotation, so equality and containment are
-always decided at projector level, where the representation is unique.
+the same subspace may differ by a rotation, so every comparison is made
+with a rotation-invariant quantity.  Equality is decided at projector
+level, where the representation is unique; containment is decided at basis
+level by the residual ||Q_o - Q_s (Q_s^T Q_o)||, which equals the
+projector-level ||P_s P_o - P_o|| without forming n x n matrices.
 """
 
 from __future__ import annotations
@@ -110,13 +113,17 @@ class Subspace:
         return Subspace(comp)
 
     def contains(self, other: "Subspace", tol: float = PROJECTOR_EQ_TOL) -> bool:
-        """Whether ``other`` is contained in this subspace (projector test)."""
+        """Whether ``other`` is contained in this subspace.
+
+        Tests ||Q_o - Q_s (Q_s^T Q_o)|| <= tol, the part of other's basis
+        outside this subspace; it equals ||P_s P_o - P_o||.
+        """
         if other.ambient_dim != self.ambient_dim:
             raise InputError("ambient dimensions differ")
         if other.dim == 0:
             return True
-        P_other = other.projector()
-        return spectral_norm(self.projector() @ P_other - P_other) <= tol
+        Q_s, Q_o = self.basis, other.basis
+        return spectral_norm(Q_o - Q_s @ (Q_s.T @ Q_o)) <= tol
 
     def same_as(self, other: "Subspace", tol: float = PROJECTOR_EQ_TOL) -> bool:
         """Projector-level equality."""
@@ -128,9 +135,15 @@ class Subspace:
 def intersection(subspaces, tol: RankTolerance = DEFAULT_TOL) -> Subspace:
     """Intersection of a nonempty list of subspaces.
 
-    Computed as the null space of the stacked matrix [(I - P_1); ...;
-    (I - P_r)], so a single SVD decides the rank and no error accumulates
-    across pairwise steps.
+    The member of smallest dimension, with basis Q (n x d), is the base:
+    the intersection is Q times the null space of the stacked sine matrix
+    [Q - Q_i (Q_i^T Q)] over the other members i, since Q y lies in M_i
+    exactly when (I - P_i) Q y = 0 (Bjorck & Golub 1973).  One SVD with d
+    columns, rather than n, decides the rank, and no error accumulates
+    across pairwise steps.  The rank cutoff is measured against at least
+    sqrt(r - 1), the most that r - 1 stacked blocks of norm at most 1 can
+    reach, not against the largest sine alone: when the members coincide,
+    every sine is rounding noise.
     """
     subs = list(subspaces)
     if not subs:
@@ -141,9 +154,14 @@ def intersection(subspaces, tol: RankTolerance = DEFAULT_TOL) -> Subspace:
             raise InputError("ambient dimensions differ across subspaces")
     if len(subs) == 1:
         return subs[0]
-    eye = np.eye(n)
-    stacked = np.vstack([eye - S.projector() for S in subs])
-    return Subspace(null_space(stacked, tol))
+    base = min(range(len(subs)), key=lambda i: subs[i].dim)
+    if subs[base].dim == 0:
+        return Subspace.trivial(n)
+    Q = subs[base].basis
+    stacked = np.vstack(
+        [Q - S.basis @ (S.basis.T @ Q) for i, S in enumerate(subs) if i != base]
+    )
+    return Subspace(Q @ null_space(stacked, tol, scale=np.sqrt(len(subs) - 1)))
 
 
 def reduced_component(

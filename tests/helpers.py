@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from projbounds import Subspace
+from projbounds import Subspace, null_space
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -67,3 +67,40 @@ def planted_pair(rng: np.random.Generator, theta_deg: float, n: int, shared_dim:
     M1 = Subspace.from_spanning(Q @ np.column_stack([shared, u1]))
     M2 = Subspace.from_spanning(Q @ np.column_stack([shared, u2]))
     return M1, M2
+
+
+def stacked_intersection(subspaces) -> Subspace:
+    """Test-only oracle: the intersection as the null space of the stacked
+    n-column matrix [(I - P_1); ...; (I - P_r)]."""
+    subs = list(subspaces)
+    if len(subs) == 1:
+        return subs[0]
+    eye = np.eye(subs[0].ambient_dim)
+    return Subspace(null_space(np.vstack([eye - S.projector() for S in subs])))
+
+
+def perturbed_family(
+    rng: np.random.Generator, r: int, n: int, shared_dim: int, eps: float
+):
+    """r subspaces, each spanning its own eps-perturbation of one shared
+    shared_dim-dimensional part plus a few random directions.
+
+    Each member has dimension at most n/2, so no two members are forced to
+    meet outside the shared part.  A forced common part lying next to
+    directions at angle ~eps is determined only to ~1e-15/eps by any
+    formula, which would hide what a comparison is meant to show.
+    """
+    shared = rng.standard_normal((n, shared_dim))
+    return [
+        Subspace.from_spanning(
+            np.hstack(
+                [
+                    shared + eps * rng.standard_normal((n, shared_dim)),
+                    rng.standard_normal(
+                        (n, int(rng.integers(0, n // 2 - shared_dim + 1)))
+                    ),
+                ]
+            )
+        )
+        for _ in range(r)
+    ]

@@ -76,6 +76,15 @@ class TestOperators:
             IterOperator(matrix=np.eye(2), kind="bogus",
                          limit_projector=np.eye(2))
 
+    def test_simultaneous_rejects_asymmetric_matrix(self):
+        # nonexpansive and absorbing, only asymmetry is wrong; the test of
+        # T - T^T needs the general norm, since symmetrising it gives zero
+        T = np.array([[0.5, 0.25], [0.0, 0.5]])
+        P = np.zeros((2, 2))
+        with pytest.raises(InputError, match="symmetric"):
+            IterOperator(matrix=T, kind="simultaneous", limit_projector=P)
+        assert IterOperator(matrix=T, kind="cyclic", limit_projector=P).ambient_dim == 2
+
     @pytest.mark.parametrize("seed", range(6))
     def test_absorption_random(self, seed):
         rng = np.random.default_rng(seed)

@@ -7,6 +7,7 @@ from projbounds import (
     null_space,
     orthonormal_basis,
     spectral_norm,
+    symmetric_norm,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -141,6 +142,66 @@ class TestSpectralNorm:
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, n))
         assert spectral_norm(A @ B) <= spectral_norm(A) * spectral_norm(B) + 1e-10
+
+
+class TestNullSpaceShapes:
+    @pytest.mark.parametrize("shape", [(40, 7), (7, 40), (12, 12)])
+    def test_kernel_dimension_tall_wide_square(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        rank = min(shape) - 2
+        A = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+        N = null_space(A)
+        assert N.shape == (shape[1], shape[1] - rank)
+        assert spectral_norm(N.T @ N - np.eye(N.shape[1])) <= 1e-12
+        assert np.abs(A @ N).max() <= 1e-10 * spectral_norm(A)
+
+    def test_scale_keeps_noise_out_of_the_rank(self):
+        # a matrix of rounding-level entries has numerical rank 0 against
+        # a unit scale, but full rank against its own largest value
+        A = 1e-13 * np.random.default_rng(7).standard_normal((30, 10))
+        assert null_space(A, scale=1.0).shape == (10, 10)
+        assert null_space(A).shape == (10, 0)
+
+    def test_scale_below_largest_singular_value_changes_nothing(self):
+        A = np.diag([2.0, 1e-12, 0.0])
+        assert null_space(A, scale=0.5).shape == null_space(A).shape == (3, 2)
+
+
+class TestSymmetricNorm:
+    def test_negative_dominant_eigenvalue(self):
+        assert symmetric_norm(np.diag([3.0, -5.0])) == pytest.approx(5.0, abs=1e-14)
+
+    def test_positive_dominant_eigenvalue(self):
+        assert symmetric_norm(np.diag([-3.0, 5.0])) == pytest.approx(5.0, abs=1e-14)
+
+    def test_zero(self):
+        assert symmetric_norm(np.zeros((3, 3))) == 0.0
+
+    def test_discards_antisymmetric_part(self):
+        # callers guarantee symmetry; an antisymmetric matrix reads as zero,
+        # which is why symmetry tests use spectral_norm
+        assert symmetric_norm(np.array([[0.0, 1.0], [-1.0, 0.0]])) == 0.0
+
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (3, 0), (1, 2)])
+    def test_rejects_non_square_and_empty(self, shape):
+        with pytest.raises(InputError):
+            symmetric_norm(np.zeros(shape))
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(InputError):
+            symmetric_norm(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        with pytest.raises(InputError):
+            symmetric_norm(np.array([[np.inf]]))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_spectral_norm_on_symmetric_input(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        n = int(rng.integers(1, 120))
+        A = rng.standard_normal((n, n))
+        S = A + A.T
+        if seed % 2:
+            S = S - 3.0 * abs(np.linalg.eigvalsh(S)).max() * np.eye(n)  # negative definite
+        assert abs(symmetric_norm(S) - spectral_norm(S)) <= 1e-12 * spectral_norm(S)
 
 
 class TestRankTolerance:

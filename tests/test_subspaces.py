@@ -9,7 +9,14 @@ from projbounds import (
     reduced_component,
     spectral_norm,
 )
-from helpers import random_family, random_subspace
+from helpers import (
+    perturbed_family,
+    random_family,
+    random_subspace,
+    rotation,
+    stacked_intersection,
+)
+from projbounds.subspaces import PROJECTOR_EQ_TOL
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -150,6 +157,117 @@ class TestIntersection:
             P = S.projector()
             assert spectral_norm(P_M @ P - P_M) <= 1e-10
             assert spectral_norm(P @ P_M - P_M) <= 1e-10
+
+
+def assert_matches_oracle(subs):
+    M = intersection(subs)
+    oracle = stacked_intersection(subs)
+    assert M.dim == oracle.dim
+    assert spectral_norm(M.projector() - oracle.projector()) <= PROJECTOR_EQ_TOL
+
+
+class TestIntersectionOracle:
+    """The thin intersection against the stacked n-column null space."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_families(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        n = int(rng.integers(2, 60))
+        assert_matches_oracle(random_family(rng, int(rng.integers(2, 6)), n))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_families_with_planted_common_part(self, seed):
+        rng = np.random.default_rng(800 + seed)
+        n = int(rng.integers(6, 80))
+        r = int(rng.integers(2, 6))
+        shared_dim = int(rng.integers(1, n // 3 + 1))
+        assert_matches_oracle(perturbed_family(rng, r, n, shared_dim, 0.0))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_near_coincident_families(self, seed):
+        # shared part perturbed by 1e-7: the sines are ~1e-7, far above the
+        # rank cutoff, so both formulas find no common part there
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(6, 80))
+        r = int(rng.integers(2, 6))
+        shared_dim = int(rng.integers(1, n // 3 + 1))
+        assert_matches_oracle(perturbed_family(rng, r, n, shared_dim, 1e-7))
+
+    def test_same_object_twice(self):
+        S = random_subspace(np.random.default_rng(11), 40, 15)
+        assert_matches_oracle([S, S])
+        assert intersection([S, S]).dim == 15
+
+    @pytest.mark.parametrize("n,d", [(20, 5), (150, 50), (300, 298)])
+    def test_same_span_other_basis(self, n, d):
+        # every sine is rounding noise; the cutoff must not count it as rank
+        rng = np.random.default_rng(n + d)
+        S = random_subspace(rng, n, d)
+        rotated = Subspace.from_spanning(3.0 * S.basis @ rotation(rng, d))
+        mixed = Subspace.from_spanning(S.basis @ rng.standard_normal((d, d)))
+        for subs in ([S, rotated], [rotated, S, mixed]):
+            assert_matches_oracle(subs)
+            assert intersection(subs).dim == d
+
+    def test_trivial_member(self):
+        rng = np.random.default_rng(12)
+        subs = [
+            random_subspace(rng, 10, 6),
+            Subspace.trivial(10),
+            random_subspace(rng, 10, 7),
+        ]
+        assert_matches_oracle(subs)
+        assert intersection(subs).dim == 0
+
+    def test_full_space_member(self):
+        rng = np.random.default_rng(13)
+        S = random_subspace(rng, 12, 5)
+        assert_matches_oracle([Subspace.full(12), S])
+        assert intersection([Subspace.full(12), S]).same_as(S)
+        assert intersection([Subspace.full(12), Subspace.full(12)]).dim == 12
+
+    def test_single_member_is_returned(self):
+        S = random_subspace(np.random.default_rng(14), 9, 4)
+        assert intersection([S]) is S
+        assert_matches_oracle([S])
+
+
+class TestContains:
+    def test_nested(self):
+        big = Subspace.from_spanning(np.eye(4)[:, :3])
+        small = Subspace.from_spanning(np.array([[1.0], [1.0], [0.0], [0.0]]))
+        assert big.contains(small)
+        assert not small.contains(big)
+
+    def test_trivial_is_contained_everywhere(self):
+        assert Subspace.trivial(3).contains(Subspace.trivial(3))
+        assert Subspace.from_spanning(np.eye(3)[:, :1]).contains(Subspace.trivial(3))
+
+    def test_rejects_mixed_dims(self):
+        with pytest.raises(InputError):
+            Subspace.full(2).contains(Subspace.full(3))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_basis_residual_equals_projector_residual(self, seed):
+        # ||Q_o - Q_s Q_s^T Q_o|| = ||P_s P_o - P_o||, whatever the bases
+        rng = np.random.default_rng(1000 + seed)
+        n = int(rng.integers(2, 40))
+        S, O = random_family(rng, 2, n)
+        basis_level = spectral_norm(O.basis - S.basis @ (S.basis.T @ O.basis))
+        P_o = O.projector()
+        assert abs(basis_level - spectral_norm(S.projector() @ P_o - P_o)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rotation_invariant_verdict(self, seed):
+        rng = np.random.default_rng(1100 + seed)
+        n = int(rng.integers(4, 40))
+        S = random_subspace(rng, n, int(rng.integers(2, n)))
+        inner = Subspace.from_spanning(S.basis @ rng.standard_normal((S.dim, 1)))
+        outer = random_subspace(rng, n, 1)
+        for T in (S, Subspace.from_spanning(S.basis @ rotation(rng, S.dim))):
+            assert T.contains(inner)
+            assert T.contains(S)
+            assert not T.contains(outer)
 
 
 class TestOrthComplement:
