@@ -7,6 +7,7 @@ convergence-rate bounds these methods obey in finite dimensions.
 """
 
 from .affine import (
+    AffineFamily,
     AffineSubspace,
     cyclic_affine,
     intersection_affine,
@@ -61,14 +62,16 @@ from .scenario import (
     generate_two_subspace,
     parse_scenario,
 )
-from .subspaces import Subspace, intersection, reduced_component
+from .subspaces import Family, Subspace, intersection, reduced_component
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "AffineFamily",
     "AffineSubspace",
     "ContainmentError",
     "DegenerateError",
+    "Family",
     "FriedrichsResult",
     "InfeasibleError",
     "InputError",

@@ -14,17 +14,19 @@ the suite are a genuine cross-check rather than a tautology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .angles import friedrichs_gram
+from .angles import friedrichs_gram, optimal_rate
 from .errors import InfeasibleError, InputError
-from .methods import IterationTrace, cyclic_bound
-from .numlin import DEFAULT_TOL, RankTolerance, as_matrix, as_vector
-from .subspaces import Subspace, intersection
+from .methods import IterationTrace, cyclic_bound, error_profile
+from .numlin import DEFAULT_TOL, RankTolerance, as_vector
+from .subspaces import Family, Subspace
 
 __all__ = [
     "AffineSubspace",
+    "AffineFamily",
     "intersection_affine",
     "simultaneous_affine",
     "cyclic_affine",
@@ -51,12 +53,7 @@ class AffineSubspace:
     direction: Subspace
 
     def __post_init__(self) -> None:
-        v = as_vector(self.anchor, "anchor")
-        if v.shape[0] != self.direction.ambient_dim:
-            raise InputError(
-                f"anchor has dimension {v.shape[0]}, "
-                f"expected {self.direction.ambient_dim}"
-            )
+        v = as_vector(self.anchor, "anchor", self.direction.ambient_dim)
         v = v - self.direction.project(v)
         v.setflags(write=False)
         object.__setattr__(self, "anchor", v)
@@ -74,21 +71,11 @@ class AffineSubspace:
         cls, point, spanning, tol: RankTolerance = DEFAULT_TOL
     ) -> "AffineSubspace":
         """The affine subspace through ``point`` spanned by ``spanning``'s columns."""
-        p = as_vector(point, "point")
-        M = as_matrix(spanning, "spanning")
-        if M.shape[0] != p.shape[0]:
-            raise InputError(
-                f"point has dimension {p.shape[0]}, spanning rows {M.shape[0]}"
-            )
-        return cls(anchor=p, direction=Subspace.from_spanning(M, tol))
+        return cls(anchor=point, direction=Subspace.from_spanning(spanning, tol))
 
     def project(self, x) -> np.ndarray:
         """Nearest point of the set to x, via P_V(x) = v + P_L(x - v)."""
-        v = as_vector(x, "x")
-        if v.shape[0] != self.ambient_dim:
-            raise InputError(
-                f"vector has dimension {v.shape[0]}, expected {self.ambient_dim}"
-            )
+        v = as_vector(x, "vector", self.ambient_dim)
         return self.anchor + self.direction.project(v - self.anchor)
 
     def contains_point(self, x, tol: float = _ANCHOR_TOL) -> bool:
@@ -96,15 +83,35 @@ class AffineSubspace:
         return bool(np.linalg.norm(v - self.project(v)) <= tol)
 
 
-def _checked_affine_family(affines, minimum: int = 1) -> list[AffineSubspace]:
-    fam = list(affines)
-    if len(fam) < minimum:
-        raise InputError(f"need at least {minimum} affine subspace(s), got {len(fam)}")
-    n = fam[0].ambient_dim
-    for V in fam[1:]:
-        if V.ambient_dim != n:
-            raise InputError("ambient dimensions differ across affine subspaces")
-    return fam
+@dataclass(frozen=True, eq=False)
+class AffineFamily:
+    """Affine subspaces V_1, ..., V_r of one R^n, validated through the
+    Family of their directions; the target set and the sweep rates are
+    computed on first use and kept, so that all starts share them."""
+
+    members: tuple[AffineSubspace, ...]
+    directions: Family
+
+    @classmethod
+    def of(cls, affines, tol: RankTolerance = DEFAULT_TOL) -> "AffineFamily":
+        if isinstance(affines, AffineFamily) and affines.directions.tol == tol:
+            return affines
+        members = tuple(affines)
+        return cls(members, Family.of([V.direction for V in members], tol=tol))
+
+    @cached_property
+    def target(self) -> AffineSubspace:
+        """The intersection of the members; InfeasibleError when empty."""
+        return intersection_affine(self, self.directions.tol)
+
+    @cached_property
+    def simultaneous_rate(self) -> float:
+        r = len(self.members)
+        return 0.0 if r == 1 else optimal_rate(friedrichs_gram(self.directions), r)
+
+    @cached_property
+    def cyclic_rate(self) -> float:
+        return 0.0 if len(self.members) == 1 else cyclic_bound(self.directions, 1)
 
 
 def intersection_affine(
@@ -118,12 +125,11 @@ def intersection_affine(
     relative residual above ``feasibility_tol`` means no common point
     exists.
     """
-    fam = _checked_affine_family(affines)
-    n = fam[0].ambient_dim
-    eye = np.eye(n)
+    fam = AffineFamily.of(affines, tol)
+    eye = np.eye(fam.directions.ambient_dim)
     rows = []
     rhs = []
-    for V in fam:
+    for V in fam.members:
         complement = eye - V.direction.projector()
         rows.append(complement)
         rhs.append(complement @ V.anchor)
@@ -138,27 +144,16 @@ def intersection_affine(
             f"(membership residual {residual:.3e} exceeds "
             f"{feasibility_tol:.0e} * {scale:.3e})"
         )
-    direction = intersection([V.direction for V in fam], tol)
-    return AffineSubspace(anchor=solution, direction=direction)
+    return AffineSubspace(anchor=solution, direction=fam.directions.intersection)
 
 
-def _affine_trace(fam, x0, k_max, sweep, rate) -> IterationTrace:
+def _affine_trace(fam: AffineFamily, x0, k_max, sweep, rate) -> IterationTrace:
     if k_max < 0:
         raise InputError("k_max must be nonnegative")
-    target_set = intersection_affine(fam)
-    x = as_vector(x0, "x0")
-    if x.shape[0] != fam[0].ambient_dim:
-        raise InputError(
-            f"start has dimension {x.shape[0]}, expected {fam[0].ambient_dim}"
-        )
-    target = target_set.project(x)
+    target_set = fam.target
+    x = as_vector(x0, "start", target_set.ambient_dim)
+    errors = error_profile(x, target_set.project(x), sweep, k_max)
     scale = np.linalg.norm(x - target_set.anchor)
-    errors = np.empty(k_max + 1)
-    errors[0] = np.linalg.norm(x - target)
-    current = x
-    for k in range(1, k_max + 1):
-        current = sweep(current)
-        errors[k] = np.linalg.norm(current - target)
     bounds = rate ** np.arange(k_max + 1) * scale
     return IterationTrace(start=x, errors=errors, bounds=bounds)
 
@@ -169,23 +164,19 @@ def simultaneous_affine(affines, x0, k_max: int) -> IterationTrace:
     The bound attached is q^k ||x0 - P_V(0)|| with
     q = (r-1)/r cos(L_1, ..., L_r) + 1/r over the direction subspaces
     (q = 0 when every direction equals the common direction, since the
-    error then vanishes after one step).
+    error then vanishes after one step).  ``affines`` may be an
+    :class:`AffineFamily`, whose target set and rate are then reused.
     """
-    fam = _checked_affine_family(affines)
-    r = len(fam)
+    fam = AffineFamily.of(affines)
+    r = len(fam.members)
 
     def sweep(x: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(x)
-        for V in fam:
+        for V in fam.members:
             acc += V.project(x)
         return acc / r
 
-    if r == 1:
-        rate = 0.0
-    else:
-        fr = friedrichs_gram([V.direction for V in fam])
-        rate = 0.0 if fr.degenerate else (r - 1.0) / r * fr.value + 1.0 / r
-    return _affine_trace(fam, x0, k_max, sweep, rate)
+    return _affine_trace(fam, x0, k_max, sweep, fam.simultaneous_rate)
 
 
 def cyclic_affine(affines, x0, k_max: int) -> IterationTrace:
@@ -193,14 +184,13 @@ def cyclic_affine(affines, x0, k_max: int) -> IterationTrace:
 
     The bound attached is the reduced-projector product bound of the
     directions times ||x0 - P_V(0)||; it is valid but not necessarily
-    attained for r > 2.
+    attained for r > 2.  ``affines`` may be an :class:`AffineFamily`.
     """
-    fam = _checked_affine_family(affines)
+    fam = AffineFamily.of(affines)
 
     def sweep(x: np.ndarray) -> np.ndarray:
-        for V in fam:
+        for V in fam.members:
             x = V.project(x)
         return x
 
-    rate = 0.0 if len(fam) == 1 else cyclic_bound([V.direction for V in fam], 1)
-    return _affine_trace(fam, x0, k_max, sweep, rate)
+    return _affine_trace(fam, x0, k_max, sweep, fam.cyclic_rate)

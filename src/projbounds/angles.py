@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DegenerateError, InputError
 from .numlin import DEFAULT_TOL, RankTolerance, spectral_norm, symmetric_norm
-from .subspaces import Subspace, intersection, reduced_component
+from .subspaces import Family, Subspace
 
 __all__ = [
     "FriedrichsResult",
@@ -42,6 +42,7 @@ __all__ = [
     "cos_two",
     "friedrichs_gram",
     "friedrichs_from_norm",
+    "optimal_rate",
 ]
 
 ROUTE_GRAM = "gram_block"
@@ -75,31 +76,31 @@ def _clamped(raw: float, degenerate: bool, route: str) -> FriedrichsResult:
     return FriedrichsResult(value=value, degenerate=degenerate, route=route, raw=raw)
 
 
-def _check_family(subspaces, minimum: int) -> list[Subspace]:
-    subs = list(subspaces)
-    if len(subs) < minimum:
-        raise InputError(f"need at least {minimum} subspaces, got {len(subs)}")
-    n = subs[0].ambient_dim
-    for S in subs[1:]:
-        if S.ambient_dim != n:
-            raise InputError("ambient dimensions differ across subspaces")
-    return subs
+def optimal_rate(friedrichs: FriedrichsResult, r: int) -> float:
+    """q = (r-1)/r * cos(M_1,...,M_r) + 1/r, the simultaneous method's rate.
+
+    0 on a degenerate family, whose error operator vanishes identically.
+    """
+    if friedrichs.degenerate:
+        return 0.0
+    return (r - 1.0) / r * friedrichs.value + 1.0 / r
 
 
 def cos_two(
-    M1: Subspace, M2: Subspace, tol: RankTolerance = DEFAULT_TOL
+    M1: Subspace | Family, M2: Subspace | None = None, tol: RankTolerance = DEFAULT_TOL
 ) -> FriedrichsResult:
     """Friedrichs-angle cosine of a pair of subspaces.
 
     Computes M = M1 intersect M2, removes it from both subspaces, and
     returns the largest singular value of the cross-Gram of the reduced
     bases.  Degenerate (value 0, flag set) when either reduced part is
-    trivial.
+    trivial.  ``M1`` may instead be the pair itself, with ``M2`` omitted;
+    a two-member :class:`Family` passed so reuses its intersection.
     """
-    subs = _check_family([M1, M2], 2)
-    common = intersection(subs, tol)
-    r1 = reduced_component(subs[0], common, tol)
-    r2 = reduced_component(subs[1], common, tol)
+    pair = Family.of(M1 if M2 is None else (M1, M2), 2, tol)
+    if len(pair) != 2:
+        raise InputError(f"cos_two takes exactly two subspaces, got {len(pair)}")
+    r1, r2 = pair.reduced
     if r1.dim == 0 or r2.dim == 0:
         return _clamped(0.0, True, ROUTE_PRINCIPAL)
     raw = spectral_norm(r1.basis.T @ r2.basis)
@@ -118,19 +119,13 @@ def friedrichs_gram(subspaces, tol: RankTolerance = DEFAULT_TOL) -> FriedrichsRe
     columns but still count toward r.  Degenerate when every reduced part
     is trivial.
     """
-    subs = _check_family(subspaces, 2)
-    r = len(subs)
-    common = intersection(subs, tol)
-    blocks = [
-        reduced_component(S, common, tol).basis
-        for S in subs
-    ]
-    blocks = [Q for Q in blocks if Q.shape[1] > 0]
+    fam = Family.of(subspaces, 2, tol)
+    blocks = [R.basis for R in fam.reduced if R.dim > 0]
     if not blocks:
         return _clamped(0.0, True, ROUTE_GRAM)
     B = np.hstack(blocks)
     lam_max = float(np.linalg.eigvalsh(B.T @ B)[-1])
-    raw = (lam_max - 1.0) / (r - 1.0)
+    raw = (lam_max - 1.0) / (len(fam) - 1.0)
     return _clamped(raw, False, ROUTE_GRAM)
 
 
@@ -148,15 +143,14 @@ def friedrichs_from_norm(
     because the left side is then 0 and the inversion formula does not
     apply (it would report a spurious negative value).
     """
-    subs = _check_family(subspaces, 2)
-    r = len(subs)
-    common = intersection(subs, tol)
-    if all(S.dim == common.dim for S in subs):
+    fam = Family.of(subspaces, 2, tol)
+    r = len(fam)
+    common = fam.intersection
+    if all(S.dim == common.dim for S in fam):
         raise DegenerateError(
             "every subspace equals the intersection; the norm identity "
             "does not determine a Friedrichs number here"
         )
-    averaged = sum(S.projector() for S in subs) / r
-    nu = symmetric_norm(averaged - common.projector())
+    nu = symmetric_norm(fam.averaged_projector - common.projector())
     raw = (r * nu - 1.0) / (r - 1.0)
     return _clamped(raw, False, ROUTE_NORM)

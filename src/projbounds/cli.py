@@ -19,7 +19,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ProjBoundsError
+from .checks import CHECKS, suite_checks
+from .errors import InputError, ProjBoundsError
 from .runner import (
     emit_report,
     render_battery,
@@ -28,14 +29,12 @@ from .runner import (
     verify_battery,
 )
 from .scenario import (
-    CHECK_NAMES,
+    METHODS,
     format_scenario,
     generate_random,
     generate_two_subspace,
     parse_scenario,
 )
-
-_ANALYZE_CHECKS = ("norm_chain", "kw", "lemma_identity", "compare")
 
 
 def _add_common(parser: argparse.ArgumentParser, formats=("json", "csv")) -> None:
@@ -71,7 +70,7 @@ def _emit_and_score(report, args) -> int:
 
 def _cmd_analyze(args) -> int:
     scenario = _load_scenario(args)
-    checks = tuple(c for c in scenario.checks if c in _ANALYZE_CHECKS)
+    checks = tuple(c for c in scenario.checks if CHECKS[c].in_analyze)
     report = run_scenario(scenario, include_traces=False, checks_override=checks)
     return _emit_and_score(report, args)
 
@@ -82,17 +81,10 @@ def _cmd_run(args) -> int:
     return _emit_and_score(report, args)
 
 
-def _applicable_checks(scenario) -> tuple[str, ...]:
-    checks = [c for c in CHECK_NAMES if c not in ("kw", "compare")]
-    if scenario.r == 2:
-        checks += ["kw", "compare"]
-    return tuple(checks)
-
-
 def _cmd_verify(args) -> int:
     if args.scenario is not None:
         scenario = _load_scenario(args)
-        report = run_scenario(scenario, checks_override=_applicable_checks(scenario))
+        report = run_scenario(scenario, checks_override=suite_checks(scenario.r))
         return _emit_and_score(report, args)
     doc = verify_battery(seed=args.seed if args.seed is not None else 0,
                          count=args.count,
@@ -112,7 +104,10 @@ def _cmd_generate(args) -> int:
             method=args.method,
         )
     else:
-        dims = [int(tok) for tok in args.dims.split(",")]
+        try:
+            dims = [int(tok) for tok in args.dims.split(",")]
+        except ValueError:
+            raise InputError(f"--dims expects comma-separated integers, got {args.dims!r}") from None
         scenario = generate_random(
             r=args.r,
             ambient_dim=args.dim,
@@ -159,8 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g_two.add_argument("--shared-dim", dest="shared_dim", type=int, default=0)
     g_two.add_argument("--seed", type=int, default=0)
     g_two.add_argument("--kmax", type=int, default=10)
-    g_two.add_argument("--method", choices=("simultaneous", "cyclic", "product_alternating"),
-                       default="simultaneous")
+    g_two.add_argument("--method", choices=METHODS, default="simultaneous")
     g_two.add_argument("--out", default=None)
     g_two.set_defaults(func=_cmd_generate, kind="two-subspace")
 
@@ -170,8 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g_rand.add_argument("--dims", required=True, help="comma-separated dimensions, one per subspace")
     g_rand.add_argument("--seed", type=int, default=0)
     g_rand.add_argument("--kmax", type=int, default=10)
-    g_rand.add_argument("--method", choices=("simultaneous", "cyclic", "product_alternating"),
-                        default="simultaneous")
+    g_rand.add_argument("--method", choices=METHODS, default="simultaneous")
     g_rand.add_argument("--out", default=None)
     g_rand.set_defaults(func=_cmd_generate, kind="random")
 

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import cos_two, friedrichs_gram
+from .angles import cos_two, friedrichs_gram, optimal_rate
 from .errors import InputError
 from .numlin import as_vector, spectral_norm
-from .subspaces import Subspace, intersection, reduced_component
+from .subspaces import Family, Subspace
 
 __all__ = [
     "IterOperator",
@@ -39,6 +39,7 @@ __all__ = [
     "simultaneous_operator",
     "cyclic_operator",
     "iterate",
+    "error_profile",
     "error_operator_norm",
     "optimal_bound_simultaneous",
     "kw_bound",
@@ -122,32 +123,20 @@ class IterationTrace:
         return float(np.max(self.errors - self.bounds))
 
 
-def _checked_family(subspaces, minimum: int = 1) -> list[Subspace]:
-    subs = list(subspaces)
-    if len(subs) < minimum:
-        raise InputError(f"need at least {minimum} subspace(s), got {len(subs)}")
-    n = subs[0].ambient_dim
-    for S in subs[1:]:
-        if S.ambient_dim != n:
-            raise InputError("ambient dimensions differ across subspaces")
-    return subs
-
-
 def simultaneous_operator(subspaces) -> IterOperator:
     """Averaged-projector operator (1/r) sum_i P_i with limit P_M."""
-    subs = _checked_family(subspaces)
-    T = sum(S.projector() for S in subs) / len(subs)
-    P_M = intersection(subs).projector()
-    return IterOperator(matrix=T, kind=KIND_SIMULTANEOUS, limit_projector=P_M)
+    fam = Family.of(subspaces)
+    P_M = fam.intersection.projector()
+    return IterOperator(matrix=fam.averaged_projector, kind=KIND_SIMULTANEOUS, limit_projector=P_M)
 
 
 def cyclic_operator(subspaces) -> IterOperator:
     """Composed-projector operator P_r ... P_1 (index 1 applied first)."""
-    subs = _checked_family(subspaces)
-    T = subs[0].projector()
-    for S in subs[1:]:
+    fam = Family.of(subspaces)
+    T = fam.members[0].projector()
+    for S in fam.members[1:]:
         T = S.projector() @ T
-    P_M = intersection(subs).projector()
+    P_M = fam.intersection.projector()
     return IterOperator(matrix=T, kind=KIND_CYCLIC, limit_projector=P_M)
 
 
@@ -159,23 +148,23 @@ def iterate(T: IterOperator, x0, k_max: int) -> IterationTrace:
     ||T - P_M||^k * ||x0||, valid for both operator kinds since
     T^k - P_M = (T - P_M)^k.
     """
-    x = as_vector(x0, "x0")
-    if x.shape[0] != T.ambient_dim:
-        raise InputError(
-            f"start has dimension {x.shape[0]}, expected {T.ambient_dim}"
-        )
+    x = as_vector(x0, "start", T.ambient_dim)
     if k_max < 0:
         raise InputError("k_max must be nonnegative")
-    target = T.limit_projector @ x
-    errors = np.empty(k_max + 1)
-    errors[0] = np.linalg.norm(x - target)
-    current = x
-    for k in range(1, k_max + 1):
-        current = T.matrix @ current
-        errors[k] = np.linalg.norm(current - target)
+    errors = error_profile(x, T.limit_projector @ x, lambda v: T.matrix @ v, k_max)
     rate = spectral_norm(T.matrix - T.limit_projector)
     bounds = rate ** np.arange(k_max + 1) * np.linalg.norm(x)
     return IterationTrace(start=x, errors=errors, bounds=bounds)
+
+
+def error_profile(x: np.ndarray, target: np.ndarray, step, k_max: int) -> np.ndarray:
+    """||x_k - target|| for k = 0..k_max, where x_0 = x and x_k = step(x_(k-1))."""
+    errors = np.empty(k_max + 1)
+    errors[0] = np.linalg.norm(x - target)
+    for k in range(1, k_max + 1):
+        x = step(x)
+        errors[k] = np.linalg.norm(x - target)
+    return errors
 
 
 def _matrix_power(A: np.ndarray, k: int) -> np.ndarray:
@@ -211,22 +200,18 @@ def optimal_bound_simultaneous(subspaces, k: int) -> float:
     (every M_i equal to M) the error operator vanishes identically and the
     bound is 0; the rate formula does not cover that case.
     """
-    subs = _checked_family(subspaces, 2)
+    fam = Family.of(subspaces, 2)
     if k < 1:
         raise InputError("k must be at least 1")
-    fr = friedrichs_gram(subs)
-    if fr.degenerate:
-        return 0.0
-    r = len(subs)
-    q = (r - 1.0) / r * fr.value + 1.0 / r
-    return q**k
+    return optimal_rate(friedrichs_gram(fam), len(fam)) ** k
 
 
-def kw_bound(M1: Subspace, M2: Subspace, k: int) -> float:
-    """cos(M1, M2)^(2k-1), the exact two-subspace alternating error norm."""
+def kw_bound(subspaces, k: int) -> float:
+    """cos(M1, M2)^(2k-1), the exact two-subspace alternating error norm,
+    for the pair ``subspaces`` = (M1, M2) or a two-member Family."""
     if k < 1:
         raise InputError("k must be at least 1")
-    c = cos_two(M1, M2).value
+    c = cos_two(subspaces).value
     return c ** (2 * k - 1)
 
 
@@ -239,14 +224,12 @@ def cyclic_bound(subspaces, k: int) -> float:
     cos^(2k-1) of :func:`kw_bound` is strictly smaller whenever
     0 < cos < 1.
     """
-    subs = _checked_family(subspaces, 2)
+    fam = Family.of(subspaces, 2)
     if k < 1:
         raise InputError("k must be at least 1")
-    common = intersection(subs)
-    n = subs[0].ambient_dim
-    product = np.eye(n)
-    for S in subs:
-        product = reduced_component(S, common).projector() @ product
+    product = np.eye(fam.ambient_dim)
+    for R in fam.reduced:
+        product = R.projector() @ product
     return spectral_norm(product) ** k
 
 
@@ -275,6 +258,5 @@ def compare_methods(M1: Subspace, M2: Subspace, k: int) -> tuple[float, float]:
     converge at least as fast as the averaged variant.  On a degenerate
     pair both entries are 0.
     """
-    if k < 1:
-        raise InputError("k must be at least 1")
-    return kw_bound(M1, M2, k), optimal_bound_simultaneous([M1, M2], k)
+    pair = Family.of((M1, M2), 2)
+    return kw_bound(pair, k), optimal_bound_simultaneous(pair, k)

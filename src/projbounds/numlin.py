@@ -65,13 +65,16 @@ def as_matrix(A, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def as_vector(x, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite float64 1-d array or raise InputError."""
+def as_vector(x, name: str = "vector", dim: int | None = None) -> np.ndarray:
+    """Coerce to a finite float64 1-d array, of length ``dim`` when given,
+    or raise InputError."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise InputError(f"{name} must be one-dimensional, got ndim={v.ndim}")
     if v.size and not np.isfinite(v).all():
         raise InputError(f"{name} contains non-finite entries")
+    if dim is not None and v.shape[0] != dim:
+        raise InputError(f"{name} has dimension {v.shape[0]}, expected {dim}")
     return v
 
 

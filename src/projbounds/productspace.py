@@ -35,10 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import cos_two, friedrichs_gram
+from .angles import cos_two, friedrichs_gram, optimal_rate
 from .errors import DegenerateError, InputError
+from .methods import IterationTrace, error_profile
 from .numlin import DEFAULT_TOL, RankTolerance, as_vector, symmetric_norm
-from .subspaces import Subspace, intersection
+from .subspaces import Family, Subspace
 
 __all__ = [
     "ProductSpaceModel",
@@ -50,6 +51,7 @@ __all__ = [
     "chain_residual_profile",
     "verify_pierra_lift",
     "pierra_lift_residual",
+    "product_alternating_traces",
 ]
 
 # Dense n*r x n*r matrices beyond this size are out of scope.
@@ -58,12 +60,15 @@ MAX_PRODUCT_DIM = 2000
 
 @dataclass(frozen=True, eq=False)
 class ProductSpaceModel:
-    """The lifted pair (C, D) in R^(n*r) for a family of r subspaces."""
+    """The lifted pair (C, D) in R^(n*r) of the base ``family``; ``pair``
+    is (C, D) as a Family, so that C intersect D is computed once."""
 
     base_dim: int
     factor_count: int
     C: Subspace
     D: Subspace
+    family: Family
+    pair: Family
 
 
 def build_product(subspaces, tol: RankTolerance = DEFAULT_TOL) -> ProductSpaceModel:
@@ -73,28 +78,21 @@ def build_product(subspaces, tol: RankTolerance = DEFAULT_TOL) -> ProductSpaceMo
     columns are (1/sqrt(r)) (e_j, ..., e_j), orthonormal under the standard
     metric.  dim C = sum_i dim M_i and dim D = n.
     """
-    subs = list(subspaces)
-    if len(subs) < 2:
-        raise InputError(f"need at least 2 subspaces, got {len(subs)}")
-    n = subs[0].ambient_dim
-    for S in subs[1:]:
-        if S.ambient_dim != n:
-            raise InputError("ambient dimensions differ across subspaces")
-    r = len(subs)
+    fam = Family.of(subspaces, 2, tol)
+    n, r = fam.ambient_dim, len(fam)
     if n * r > MAX_PRODUCT_DIM:
         raise InputError(
             f"product dimension {n * r} exceeds the dense cap {MAX_PRODUCT_DIM}"
         )
-    total_cols = sum(S.dim for S in subs)
+    total_cols = sum(S.dim for S in fam)
     C_basis = np.zeros((n * r, total_cols))
     col = 0
-    for i, S in enumerate(subs):
+    for i, S in enumerate(fam):
         C_basis[i * n : (i + 1) * n, col : col + S.dim] = S.basis
         col += S.dim
     D_basis = np.vstack([np.eye(n)] * r) / np.sqrt(r)
-    return ProductSpaceModel(
-        base_dim=n, factor_count=r, C=Subspace(C_basis), D=Subspace(D_basis)
-    )
+    C, D = Subspace(C_basis), Subspace(D_basis)
+    return ProductSpaceModel(n, r, C, D, fam, Family((C, D), tol))
 
 
 def lift_diag(model: ProductSpaceModel, x) -> np.ndarray:
@@ -104,41 +102,13 @@ def lift_diag(model: ProductSpaceModel, x) -> np.ndarray:
     averaged metric it has norm ||x||.  Callers compare lifted vectors with
     lifted vectors, so either convention gives the same verdict.
     """
-    v = as_vector(x, "x")
-    if v.shape[0] != model.base_dim:
-        raise InputError(
-            f"vector has dimension {v.shape[0]}, expected {model.base_dim}"
-        )
+    v = as_vector(x, "vector", model.base_dim)
     return np.tile(v, model.factor_count)
 
 
 def cos_CD(model: ProductSpaceModel, tol: RankTolerance = DEFAULT_TOL) -> float:
     """Friedrichs-angle cosine between C and D, computed inside R^(n*r)."""
-    return cos_two(model.C, model.D, tol).value
-
-
-def _chain_setup(subs: list[Subspace], tol: RankTolerance):
-    """Shared per-family quantities for the norm chain; each chain member
-    still gets its own code path from these."""
-    fr = friedrichs_gram(subs, tol)
-    if fr.degenerate:
-        raise DegenerateError(
-            "every subspace equals the intersection: all six chain members "
-            "are identically zero and the chain holds trivially"
-        )
-    r = len(subs)
-    T = sum(S.projector() for S in subs) / r
-    P_M = intersection(subs, tol).projector()
-    one_step = symmetric_norm(T - P_M)
-    q = (r - 1.0) / r * fr.value + 1.0 / r
-    model = build_product(subs, tol)
-    c_prod = cos_CD(model, tol)
-    P_C = model.C.projector()
-    P_D = model.D.projector()
-    P_CD = intersection([model.C, model.D], tol).projector()
-    T_prod = P_D @ P_C @ P_D
-    prod_one_step = symmetric_norm(T_prod - P_CD)
-    return T, P_M, one_step, q, c_prod, T_prod, P_CD, prod_one_step
+    return cos_two(model.pair, tol=tol).value
 
 
 def chain_residual_profile(
@@ -151,13 +121,33 @@ def chain_residual_profile(
     norms are built incrementally over k; everything else about each chain
     member remains an independent code path (direct power norm, single-step
     norm to the k, Friedrichs-formula rate, product-space angle, and the
-    two product-operator analogues).
+    two product-operator analogues).  ``subspaces`` may be a model from
+    :func:`build_product`, used under the tolerance it was built with;
+    otherwise degeneracy is decided before the product space is built.
     """
-    subs = list(subspaces)
     wanted = sorted(set(int(k) for k in k_values))
     if not wanted or wanted[0] < 1:
         raise InputError("exponents must be integers >= 1")
-    T, P_M, one_step, q, c_prod, T_prod, P_CD, prod_one_step = _chain_setup(subs, tol)
+    model = subspaces if isinstance(subspaces, ProductSpaceModel) else None
+    fam = model.family if model else Family.of(subspaces, 2, tol)
+    fr = friedrichs_gram(fam, fam.tol)
+    if fr.degenerate:
+        raise DegenerateError(
+            "every subspace equals the intersection: all six chain members "
+            "are identically zero and the chain holds trivially"
+        )
+    T = fam.averaged_projector
+    P_M = fam.intersection.projector()
+    one_step = symmetric_norm(T - P_M)
+    q = optimal_rate(fr, len(fam))
+    model = model or build_product(fam, fam.tol)
+    c_prod = cos_CD(model, fam.tol)
+    P_C = model.C.projector()
+    P_D = model.D.projector()
+    P_CD = model.pair.intersection.projector()
+    T_prod = P_D @ P_C @ P_D
+    del P_C, P_D  # two dense nr x nr matrices the power loop does not need
+    prod_one_step = symmetric_norm(T_prod - P_CD)
     out: dict[int, np.ndarray] = {}
     Tk = None
     Tpk = None
@@ -189,8 +179,6 @@ def verify_norm_chain(
     DegenerateError when every subspace equals the intersection, in which
     case all six members are zero and the chain holds trivially.
     """
-    if k < 1:
-        raise InputError("k must be at least 1")
     return chain_residual_profile(subspaces, [k], tol)[k]
 
 
@@ -202,25 +190,21 @@ def pierra_lift_residual(
     For each start x and step count k, compares (P_D P_C)^k applied to the
     lifted start against the lift of T^k(x), plus the projector onto
     C intersect D against the lift of P_M(x).  Projectors are assembled
-    once and shared across the grid.
+    once and shared across the grid.  ``subspaces`` may be a model from
+    :func:`build_product`, used under the tolerance it was built with.
     """
-    subs = list(subspaces)
-    model = build_product(subs, tol)
-    P_C = model.C.projector()
-    P_D = model.D.projector()
-    P_CD = intersection([model.C, model.D], tol).projector()
-    T = sum(S.projector() for S in subs) / len(subs)
-    P_M = intersection(subs, tol).projector()
     ks = sorted(set(int(k) for k in k_values))
     if ks and ks[0] < 0:
         raise InputError("step counts must be nonnegative")
+    model = subspaces if isinstance(subspaces, ProductSpaceModel) else build_product(subspaces, tol)
+    P_C = model.C.projector()
+    P_D = model.D.projector()
+    P_CD = model.pair.intersection.projector()
+    T = model.family.averaged_projector
+    P_M = model.family.intersection.projector()
     worst = 0.0
     for x in starts:
-        v = as_vector(x, "start")
-        if v.shape[0] != model.base_dim:
-            raise InputError(
-                f"start has dimension {v.shape[0]}, expected {model.base_dim}"
-            )
+        v = as_vector(x, "start", model.base_dim)
         lifted = lift_diag(model, v)
         anchor = np.linalg.norm(P_CD @ lifted - lift_diag(model, P_M @ v))
         y = lifted
@@ -236,6 +220,23 @@ def pierra_lift_residual(
     return worst
 
 
+def product_alternating_traces(model: ProductSpaceModel, starts, k_max) -> list[IterationTrace]:
+    """The lifted iteration y <- P_D P_C y of :func:`pierra_lift_residual`
+    from each start, against P_CD lift(x0), with bounds cos(C, D)^(2k)
+    ||lift(x0)||."""
+    P_C = model.C.projector()
+    P_D = model.D.projector()
+    P_CD = model.pair.intersection.projector()
+    c_prod = cos_CD(model, model.family.tol)
+    traces = []
+    for x0 in starts:
+        lifted = lift_diag(model, x0)
+        errors = error_profile(lifted, P_CD @ lifted, lambda y: P_D @ (P_C @ y), k_max)
+        bounds = c_prod ** (2 * np.arange(k_max + 1)) * np.linalg.norm(lifted)
+        traces.append(IterationTrace(start=x0, errors=errors, bounds=bounds))
+    return traces
+
+
 def verify_pierra_lift(
     subspaces, x, k: int, tol: RankTolerance = DEFAULT_TOL
 ) -> float:
@@ -244,6 +245,4 @@ def verify_pierra_lift(
     Returns || (P_D P_C)^k lift(x) - lift(T^k x) ||
           + || P_CD lift(x) - lift(P_M x) ||; the caller asserts <= 1e-9.
     """
-    if k < 0:
-        raise InputError("k must be nonnegative")
     return pierra_lift_residual(subspaces, [x], [k], tol)

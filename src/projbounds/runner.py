@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .affine import AffineSubspace, cyclic_affine, intersection_affine, simultaneous_affine
+from .affine import AffineFamily, AffineSubspace, cyclic_affine, simultaneous_affine
 from .angles import (
     ROUTE_GRAM,
     ROUTE_NORM,
@@ -24,22 +24,15 @@ from .angles import (
     cos_two,
     friedrichs_from_norm,
     friedrichs_gram,
+    optimal_rate,
 )
+from .checks import CHECKS, CheckInputs, suite_checks, validate_checks
 from .errors import DegenerateError, InfeasibleError, InputError
-from .methods import (
-    IterationTrace,
-    cyclic_operator,
-    error_operator_norm,
-    iterate,
-    kw_bound,
-    optimal_bound_simultaneous,
-    simultaneous_operator,
-    verify_error_identity,
-)
+from .methods import IterationTrace, cyclic_operator, iterate, simultaneous_operator
 from .numlin import DEFAULT_TOL
-from .productspace import build_product, chain_residual_profile, cos_CD, pierra_lift_residual
-from .scenario import CHECK_NAMES, Scenario, validate_scenario
-from .subspaces import Subspace, intersection
+from .productspace import product_alternating_traces
+from .scenario import METHODS, Scenario, validate_scenario
+from .subspaces import Family, Subspace
 
 __all__ = [
     "DEFAULT_TOLERANCES",
@@ -69,8 +62,6 @@ DEFAULT_TOLERANCES = {
     "rank_relative_eps": DEFAULT_TOL.relative_eps,
     "rank_absolute_floor": DEFAULT_TOL.absolute_floor,
 }
-
-_LEMMA_K_CAP = 20
 
 
 @dataclass
@@ -141,126 +132,50 @@ def _trace_summary(index: int, trace: IterationTrace) -> TraceSummary:
     )
 
 
-def _product_alternating_trace(model_parts, x0: np.ndarray, k_max: int) -> IterationTrace:
-    model, P_C, P_D, P_CD, c_prod = model_parts
-    lifted = np.tile(x0, model.factor_count)
-    target = P_CD @ lifted
-    errors = np.empty(k_max + 1)
-    errors[0] = np.linalg.norm(lifted - target)
-    y = lifted
-    for k in range(1, k_max + 1):
-        y = P_D @ (P_C @ y)
-        errors[k] = np.linalg.norm(y - target)
-    bounds = c_prod ** (2 * np.arange(k_max + 1)) * np.linalg.norm(lifted)
-    return IterationTrace(start=x0, errors=errors, bounds=bounds)
-
-
-def _run_checks(s: Scenario, subs: list[Subspace], starts: list[np.ndarray],
-                traces: list[TraceSummary], wanted) -> tuple[list[CheckOutcome], list[float] | None]:
-    outcomes: list[CheckOutcome] = []
-    chain_residuals: list[float] | None = None
-    for name in wanted:
-        tol = DEFAULT_TOLERANCES[name]
-        if name == "norm_chain":
-            try:
-                profile = chain_residual_profile(subs, range(1, s.k_max + 1))
-                worst = np.max(np.vstack(list(profile.values())), axis=0)
-                chain_residuals = [float(v) for v in worst]
-                residual = float(np.max(worst))
-                note = f"max adjacent residuals over k=1..{s.k_max}"
-            except DegenerateError as exc:
-                chain_residuals = [0.0] * 5
-                residual = 0.0
-                note = f"degenerate: {exc}"
-            outcomes.append(CheckOutcome(name, residual <= tol, residual, tol, note))
-        elif name == "kw":
-            T = cyclic_operator(subs)
-            residual = max(
-                abs(error_operator_norm(T, k) - kw_bound(subs[0], subs[1], k))
-                for k in range(1, s.k_max + 1)
-            )
-            outcomes.append(
-                CheckOutcome(name, residual <= tol, float(residual), tol,
-                             f"alternating error norm vs cos^(2k-1), k=1..{s.k_max}")
-            )
-        elif name == "lemma_identity":
-            cap = min(s.k_max, _LEMMA_K_CAP)
-            residual = 0.0
-            for op in (simultaneous_operator(subs), cyclic_operator(subs)):
-                for k in range(1, cap + 1):
-                    residual = max(residual, verify_error_identity(op, k))
-            outcomes.append(
-                CheckOutcome(name, residual <= tol, float(residual), tol,
-                             f"both operator kinds, k=1..{cap}")
-            )
-        elif name == "pierra_lift":
-            residual = pierra_lift_residual(subs, starts, range(0, s.k_max + 1))
-            outcomes.append(
-                CheckOutcome(name, residual <= tol, float(residual), tol,
-                             f"{len(starts)} start(s), k=0..{s.k_max}")
-            )
-        elif name == "compare":
-            gap = 0.0
-            for k in range(1, s.k_max + 1):
-                first, second = kw_bound(subs[0], subs[1], k), optimal_bound_simultaneous(subs, k)
-                gap = max(gap, first - second)
-            outcomes.append(
-                CheckOutcome(name, gap <= tol, float(gap), tol,
-                             "cyclic bound minus simultaneous bound (must be <= 0)")
-            )
-        elif name == "bounds":
-            violation = max((t.max_violation for t in traces), default=0.0)
-            outcomes.append(
-                CheckOutcome(name, violation <= tol, float(violation), tol,
-                             f"max over {len(traces)} trace(s)")
-            )
-    return outcomes, chain_residuals
-
-
 def run_scenario(s: Scenario, include_traces: bool = True,
                  checks_override=None) -> Report:
     """Execute a scenario and assemble its report.
 
     ``include_traces=False`` skips iteration entirely (the ``analyze``
-    subcommand); ``checks_override`` replaces the scenario's check list.
-    Every requested check is executed and reported with its residual,
-    passing or not.
+    subcommand); ``checks_override`` replaces the scenario's check list and
+    is validated like it.  Every requested check is executed and reported
+    with its residual, passing or not.
     """
     validate_scenario(s)
+    wanted = tuple(checks_override) if checks_override is not None else s.checks
+    validate_checks(wanted, s.r)
     t0 = time.perf_counter()
-    r = s.r
 
     if s.mode == "affine":
-        affines = [
+        affine = AffineFamily.of(
             AffineSubspace.from_point_span(spec.anchor, spec.spanning)
             for spec in s.subspaces
-        ]
-        subs = [V.direction for V in affines]
+        )
+        family = affine.directions
     else:
-        affines = None
-        subs = [Subspace.from_spanning(spec.spanning) for spec in s.subspaces]
+        affine = None
+        family = Family.of([Subspace.from_spanning(spec.spanning) for spec in s.subspaces])
 
-    gram = friedrichs_gram(subs)
+    gram = friedrichs_gram(family)
     try:
-        norm_route = friedrichs_from_norm(subs)
+        norm_route = friedrichs_from_norm(family)
     except DegenerateError:
         norm_route = None
-    principal = cos_two(subs[0], subs[1]) if r == 2 else None
+    principal = cos_two(family) if s.r == 2 else None
     friedrichs = {
         ROUTE_GRAM: _friedrichs_entry(gram),
         ROUTE_NORM: _friedrichs_entry(norm_route),
         ROUTE_PRINCIPAL: _friedrichs_entry(principal),
     }
-    q = 0.0 if gram.degenerate else (r - 1.0) / r * gram.value + 1.0 / r
 
     report = Report(
         scenario_name=s.name,
         mode=s.mode,
         method=s.method,
         ambient_dim=s.ambient_dim,
-        r=r,
+        r=s.r,
         friedrichs=friedrichs,
-        q=float(q),
+        q=float(optimal_rate(gram, s.r)),
         chain_residuals=None,
         traces=[],
         check_outcomes=[],
@@ -268,44 +183,40 @@ def run_scenario(s: Scenario, include_traces: bool = True,
         seed=s.seed,
     )
 
-    if s.mode == "affine":
+    if affine is not None:
         try:
-            intersection_affine(affines)
+            affine.target
         except InfeasibleError as exc:
             report.error = {"kind": "infeasible_intersection", "message": str(exc)}
             report.wall_time_s = time.perf_counter() - t0
             return report
 
-    starts = list(s.starts) + _random_starts(s)
+    inputs = CheckInputs(family, gram, s.k_max, list(s.starts) + _random_starts(s))
 
-    if include_traces and starts:
-        if s.mode == "affine":
-            runner = simultaneous_affine if s.method == "simultaneous" else cyclic_affine
-            traces = [runner(affines, x0, s.k_max) for x0 in starts]
+    if include_traces and inputs.starts:
+        if affine is not None:
+            sweep = simultaneous_affine if s.method == "simultaneous" else cyclic_affine
+            traces = [sweep(affine, x0, s.k_max) for x0 in inputs.starts]
         elif s.method == "product_alternating":
-            model = build_product(subs)
-            parts = (
-                model,
-                model.C.projector(),
-                model.D.projector(),
-                intersection([model.C, model.D]).projector(),
-                cos_CD(model),
-            )
-            traces = [_product_alternating_trace(parts, x0, s.k_max) for x0 in starts]
+            traces = product_alternating_traces(inputs.product, inputs.starts, s.k_max)
         else:
-            op = simultaneous_operator(subs) if s.method == "simultaneous" else cyclic_operator(subs)
-            traces = [iterate(op, x0, s.k_max) for x0 in starts]
-        report.traces = [_trace_summary(i, t) for i, t in enumerate(traces)]
+            op = (simultaneous_operator if s.method == "simultaneous" else cyclic_operator)(family)
+            traces = [iterate(op, x0, s.k_max) for x0 in inputs.starts]
+        report.traces = inputs.traces = [_trace_summary(i, t) for i, t in enumerate(traces)]
 
-    wanted = tuple(checks_override) if checks_override is not None else s.checks
     for name in wanted:
-        if name not in CHECK_NAMES:
-            raise InputError(f"unknown check {name!r}")
-    outcomes, chain_residuals = _run_checks(s, subs, starts, report.traces, wanted)
-    report.check_outcomes = outcomes
-    report.chain_residuals = chain_residuals
+        check = CHECKS[name]
+        tol = DEFAULT_TOLERANCES[check.tolerance_key]
+        residual, note = check.fn(inputs)
+        report.check_outcomes.append(CheckOutcome(name, residual <= tol, residual, tol, note))
+    report.chain_residuals = inputs.chain_residuals
     report.wall_time_s = time.perf_counter() - t0
     return report
+
+
+def _outcome_entry(c: CheckOutcome) -> dict:
+    return {"check": c.name, "passed": c.passed, "residual": c.residual,
+            "tolerance": c.tolerance, "note": c.note}
 
 
 def report_to_dict(rep: Report) -> dict:
@@ -320,26 +231,8 @@ def report_to_dict(rep: Report) -> dict:
         "friedrichs": rep.friedrichs,
         "q": rep.q,
         "chain_residuals": rep.chain_residuals,
-        "traces": [
-            {
-                "start_index": t.start_index,
-                "start": t.start,
-                "errors": t.errors,
-                "bounds": t.bounds,
-                "max_violation": t.max_violation,
-            }
-            for t in rep.traces
-        ],
-        "check_outcomes": [
-            {
-                "check": c.name,
-                "passed": c.passed,
-                "residual": c.residual,
-                "tolerance": c.tolerance,
-                "note": c.note,
-            }
-            for c in rep.check_outcomes
-        ],
+        "traces": [asdict(t) for t in rep.traces],
+        "check_outcomes": [_outcome_entry(c) for c in rep.check_outcomes],
         "error": rep.error,
         "metadata": {"seed": rep.seed, "tolerances": rep.tolerances},
     }
@@ -359,16 +252,7 @@ def parse_report(text: str) -> Report:
         friedrichs=doc["friedrichs"],
         q=doc["q"],
         chain_residuals=doc["chain_residuals"],
-        traces=[
-            TraceSummary(
-                start_index=t["start_index"],
-                start=t["start"],
-                errors=t["errors"],
-                bounds=t["bounds"],
-                max_violation=t["max_violation"],
-            )
-            for t in doc["traces"]
-        ],
+        traces=[TraceSummary(**t) for t in doc["traces"]],
         check_outcomes=[
             CheckOutcome(
                 name=c["check"],
@@ -411,28 +295,14 @@ def emit_report(rep: Report, fmt: str, path) -> None:
 
 
 def _battery_scenario(index: int, child: np.random.SeedSequence, kmax_cap: int) -> Scenario:
-    from .scenario import SubspaceSpec
-
     rng = np.random.default_rng(child)
     r = int(rng.integers(2, 6))
     n = int(rng.integers(4, 31))
     dims = [int(rng.integers(1, n)) for _ in range(r)]
     k_max = int(rng.integers(1, kmax_cap + 1))
-    specs = [SubspaceSpec(spanning=rng.standard_normal((n, d))) for d in dims]
-    method = ("simultaneous", "cyclic", "product_alternating")[index % 3]
-    checks = ["norm_chain", "lemma_identity", "pierra_lift", "bounds"]
-    if r == 2:
-        checks += ["kw", "compare"]
-    return Scenario(
-        name=f"battery-{index:03d}",
-        ambient_dim=n,
-        subspaces=specs,
-        method=method,
-        k_max=k_max,
-        seed=int(rng.integers(0, 2**31)),
-        random_starts=2,
-        checks=tuple(checks),
-    )
+    spans = [rng.standard_normal((n, d)) for d in dims]
+    seed = int(rng.integers(0, 2**31))
+    return Scenario.generated(f"battery-{index:03d}", n, spans, seed, k_max, METHODS[index % 3])
 
 
 def verify_battery(seed: int, count: int = 100, kmax_cap: int = 10) -> dict:
@@ -444,12 +314,14 @@ def verify_battery(seed: int, count: int = 100, kmax_cap: int = 10) -> dict:
     """
     if count < 1:
         raise InputError("count must be at least 1")
+    if kmax_cap < 1:
+        raise InputError("kmax_cap must be at least 1")
     root = np.random.SeedSequence(seed)
     instances = []
     failures = 0
     for index, child in enumerate(root.spawn(count)):
         sc = _battery_scenario(index, child, kmax_cap)
-        rep = run_scenario(sc)
+        rep = run_scenario(sc, checks_override=suite_checks(sc.r))
         passed = rep.all_passed()
         if not passed:
             failures += 1
@@ -462,12 +334,7 @@ def verify_battery(seed: int, count: int = 100, kmax_cap: int = 10) -> dict:
                 "k_max": sc.k_max,
                 "passed": passed,
                 "checks": [
-                    {
-                        "check": c.name,
-                        "passed": c.passed,
-                        "residual": c.residual,
-                        "tolerance": c.tolerance,
-                    }
+                    {k: v for k, v in _outcome_entry(c).items() if k != "note"}
                     for c in rep.check_outcomes
                 ],
             }

@@ -19,9 +19,9 @@ Top-level keys::
     k_max: <int >= 1>                   default 10
     seed: <int>                         default 0; drives random starts
     random_starts: <int >= 0>           default 0
-    checks: <names>                     subset of: norm_chain kw
-                                        lemma_identity pierra_lift compare
-                                        bounds
+    checks: <names>                     names from ``checks.CHECKS``; the
+                                        pairs-only ones need exactly two
+                                        subspaces
 
 Blocks::
 
@@ -65,13 +65,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import applicable_checks, validate_checks
 from .errors import InputError
 
 __all__ = [
     "HEADER",
     "MODES",
     "METHODS",
-    "CHECK_NAMES",
     "SubspaceSpec",
     "Scenario",
     "parse_scenario",
@@ -83,7 +83,6 @@ __all__ = [
 HEADER = "projscenario v1"
 MODES = ("linear", "affine")
 METHODS = ("simultaneous", "cyclic", "product_alternating")
-CHECK_NAMES = ("norm_chain", "kw", "lemma_identity", "pierra_lift", "compare", "bounds")
 
 _KEY_RE = re.compile(r"^([A-Za-z_]+):(.*)$")
 _SCALAR_KEYS = (
@@ -126,6 +125,14 @@ class Scenario:
     @property
     def r(self) -> int:
         return len(self.subspaces)
+
+    @classmethod
+    def generated(cls, name: str, n: int, spans, seed: int, k_max: int, method: str):
+        """A generated scenario: the subspaces spanned by ``spans``, two
+        random starts, and every check the table allows on them."""
+        return cls(name=name, ambient_dim=n, subspaces=[SubspaceSpec(spanning=M) for M in spans],
+                   method=method, k_max=k_max, seed=seed, random_starts=2,
+                   checks=applicable_checks(len(spans)))
 
     def with_overrides(self, k_max: int | None = None, seed: int | None = None):
         out = self
@@ -187,11 +194,7 @@ def validate_scenario(s: Scenario) -> None:
     for j, x in enumerate(s.starts, 1):
         if len(x) != s.ambient_dim:
             _fail(None, f"start {j} must have length {s.ambient_dim}")
-    for name in s.checks:
-        if name not in CHECK_NAMES:
-            _fail(None, f"unknown check {name!r}; valid checks: {' '.join(CHECK_NAMES)}")
-    if s.r != 2 and ("kw" in s.checks or "compare" in s.checks):
-        _fail(None, "checks 'kw' and 'compare' require exactly two subspaces")
+    validate_checks(s.checks, s.r)
     if s.mode == "affine" and s.method == "product_alternating":
         _fail(None, "method product_alternating requires linear mode")
 
@@ -351,10 +354,6 @@ def _rotation(rng: np.random.Generator, n: int) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
-_PAIR_CHECKS = ("norm_chain", "kw", "lemma_identity", "pierra_lift", "compare", "bounds")
-_FAMILY_CHECKS = ("norm_chain", "lemma_identity", "pierra_lift", "bounds")
-
-
 def generate_two_subspace(
     theta_deg: float,
     ambient_dim: int,
@@ -383,18 +382,9 @@ def generate_two_subspace(
     u2 = np.cos(theta) * np.eye(n)[:, s] + np.sin(theta) * np.eye(n)[:, s + 1]
     rng = np.random.default_rng(seed)
     Q = _rotation(rng, n)
-    span1 = Q @ np.column_stack([shared, u1])
-    span2 = Q @ np.column_stack([shared, u2])
-    return Scenario(
-        name=f"two-subspace-theta{theta_deg:g}-n{n}-s{s}-seed{seed}",
-        ambient_dim=n,
-        subspaces=[SubspaceSpec(spanning=span1), SubspaceSpec(spanning=span2)],
-        method=method,
-        k_max=k_max,
-        seed=seed,
-        random_starts=2,
-        checks=_PAIR_CHECKS,
-    )
+    spans = [Q @ np.column_stack([shared, u1]), Q @ np.column_stack([shared, u2])]
+    return Scenario.generated(f"two-subspace-theta{theta_deg:g}-n{n}-s{s}-seed{seed}", n,
+                              spans, seed, k_max, method)
 
 
 def generate_random(
@@ -420,15 +410,5 @@ def generate_random(
         if not 0 <= d <= n:
             raise InputError(f"each dimension must lie in [0, {n}], got {d}")
     rng = np.random.default_rng(seed)
-    specs = [SubspaceSpec(spanning=rng.standard_normal((n, d))) for d in dims]
-    checks = _PAIR_CHECKS if r == 2 else _FAMILY_CHECKS
-    return Scenario(
-        name=f"random-r{r}-n{n}-seed{seed}",
-        ambient_dim=n,
-        subspaces=specs,
-        method=method,
-        k_max=k_max,
-        seed=seed,
-        random_starts=2,
-        checks=checks,
-    )
+    spans = [rng.standard_normal((n, d)) for d in dims]
+    return Scenario.generated(f"random-r{r}-n{n}-seed{seed}", n, spans, seed, k_max, method)

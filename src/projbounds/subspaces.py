@@ -13,6 +13,7 @@ projector-level ||P_s P_o - P_o|| without forming n x n matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .numlin import (
     spectral_norm,
 )
 
-__all__ = ["Subspace", "intersection", "reduced_component", "PROJECTOR_EQ_TOL"]
+__all__ = ["Subspace", "Family", "intersection", "reduced_component", "PROJECTOR_EQ_TOL"]
 
 # Orthonormality required of any basis handed to the constructor.
 ORTHONORMALITY_TOL = 1e-12
@@ -74,12 +75,7 @@ class Subspace:
         Dependent, repeated, or zero columns are harmless; the resulting
         basis has exactly rank-many columns.
         """
-        M = as_matrix(vectors, "spanning vectors")
-        if M.shape[0] < 1:
-            raise InputError("spanning vectors need at least one row")
-        if M.shape[1] == 0:
-            return cls(np.zeros((M.shape[0], 0)))
-        return cls(orthonormal_basis(M, tol))
+        return cls(orthonormal_basis(as_matrix(vectors, "spanning vectors"), tol))
 
     @classmethod
     def trivial(cls, n: int) -> "Subspace":
@@ -100,11 +96,7 @@ class Subspace:
 
     def project(self, x) -> np.ndarray:
         """Nearest point of the subspace to ``x``."""
-        v = as_vector(x, "x")
-        if v.shape[0] != self.ambient_dim:
-            raise InputError(
-                f"vector has dimension {v.shape[0]}, expected {self.ambient_dim}"
-            )
+        v = as_vector(x, "vector", self.ambient_dim)
         return self.basis @ (self.basis.T @ v)
 
     def orth_complement(self) -> "Subspace":
@@ -145,18 +137,12 @@ def intersection(subspaces, tol: RankTolerance = DEFAULT_TOL) -> Subspace:
     reach, not against the largest sine alone: when the members coincide,
     every sine is rounding noise.
     """
-    subs = list(subspaces)
-    if not subs:
-        raise InputError("intersection requires at least one subspace")
-    n = subs[0].ambient_dim
-    for S in subs[1:]:
-        if S.ambient_dim != n:
-            raise InputError("ambient dimensions differ across subspaces")
+    subs = Family.of(subspaces, tol=tol).members
     if len(subs) == 1:
         return subs[0]
     base = min(range(len(subs)), key=lambda i: subs[i].dim)
     if subs[base].dim == 0:
-        return Subspace.trivial(n)
+        return Subspace.trivial(subs[0].ambient_dim)
     Q = subs[base].basis
     stacked = np.vstack(
         [Q - S.basis @ (S.basis.T @ Q) for i, S in enumerate(subs) if i != base]
@@ -174,11 +160,67 @@ def reduced_component(
     (I - P_M) Mi spans exactly that component and its nonzero singular
     values are all 1, so the basis extraction is perfectly conditioned.
     """
-    if Mi.ambient_dim != M.ambient_dim:
-        raise InputError("ambient dimensions differ")
     if not Mi.contains(M):
         raise ContainmentError("M is not contained in Mi")
     if Mi.dim == 0:
         return Subspace.trivial(Mi.ambient_dim)
     residual = Mi.basis - M.basis @ (M.basis.T @ Mi.basis)
     return Subspace(orthonormal_basis(residual, tol))
+
+
+@dataclass(frozen=True, eq=False)
+class Family:
+    """A nonempty family M_1, ..., M_r of subspaces of one R^n, validated once.
+
+    The intersection, the reduced components and the averaged projector
+    are computed under ``tol`` on first use and kept.  Iterating a family
+    yields its members.
+    """
+
+    members: tuple[Subspace, ...]
+    tol: RankTolerance = DEFAULT_TOL
+
+    def __post_init__(self) -> None:
+        members = tuple(self.members)
+        if not members:
+            raise InputError("a family needs at least one subspace")
+        if any(S.ambient_dim != members[0].ambient_dim for S in members):
+            raise InputError("ambient dimensions differ across subspaces")
+        object.__setattr__(self, "members", members)
+
+    @classmethod
+    def of(cls, subspaces, minimum: int = 1, tol: RankTolerance = DEFAULT_TOL) -> "Family":
+        """``subspaces`` if already a Family under ``tol``, else a new one;
+        InputError when it has fewer than ``minimum`` members."""
+        if not (isinstance(subspaces, Family) and subspaces.tol == tol):
+            subspaces = cls(tuple(subspaces), tol)
+        if len(subspaces) < minimum:
+            raise InputError(f"need at least {minimum} subspaces, got {len(subspaces)}")
+        return subspaces
+
+    def __iter__(self):
+        return iter(self.members)
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.members[0].ambient_dim
+
+    @cached_property
+    def intersection(self) -> Subspace:
+        """M = M_1 intersect ... intersect M_r."""
+        return intersection(self, self.tol)
+
+    @cached_property
+    def reduced(self) -> tuple[Subspace, ...]:
+        """The reduced components M_i intersect M-perp, in member order."""
+        return tuple(reduced_component(S, self.intersection, self.tol) for S in self)
+
+    @cached_property
+    def averaged_projector(self) -> np.ndarray:
+        """(1/r) (P_1 + ... + P_r), read-only."""
+        T = sum(S.projector() for S in self) / len(self)
+        T.setflags(write=False)
+        return T

@@ -90,7 +90,7 @@ def test_criterion_1_alternating_norm_exactness(pair_instances):
     for M1, M2 in pair_instances:
         T = cyclic_operator([M1, M2])
         for k in range(1, 11):
-            assert abs(error_operator_norm(T, k) - kw_bound(M1, M2, k)) <= 1e-9
+            assert abs(error_operator_norm(T, k) - kw_bound([M1, M2], k)) <= 1e-9
     assert time.perf_counter() - t0 < 10.0
 
 
@@ -146,7 +146,7 @@ def test_criterion_6_method_ordering(pair_instances):
     for M1, M2 in pair_instances:
         c = cos_two(M1, M2).value
         for k in range(1, 11):
-            first = kw_bound(M1, M2, k)
+            first = kw_bound([M1, M2], k)
             second = optimal_bound_simultaneous([M1, M2], k)
             assert first <= second + 1e-12
             if c <= 1.0 - 1e-6:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from projbounds import (
+    AffineFamily,
     AffineSubspace,
     InfeasibleError,
     InputError,
@@ -206,7 +207,7 @@ class TestCyclicAffine:
         base = cyclic_bound([M1, M2], 1)
         assert base == pytest.approx(0.5, abs=1e-12)
         for k in range(1, 7):
-            assert trace.errors[k] <= kw_bound(M1, M2, k) * np.linalg.norm(x0) + 1e-10
+            assert trace.errors[k] <= kw_bound([M1, M2], k) * np.linalg.norm(x0) + 1e-10
             assert trace.bounds[k] == pytest.approx(base**k * np.linalg.norm(x0), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -221,3 +222,36 @@ class TestCyclicAffine:
         v = intersection_affine(fam).anchor
         linear_trace = iterate(cyclic_operator([V.direction for V in fam]), x0 - v, 8)
         assert np.abs(trace.errors - linear_trace.errors).max() <= 1e-10
+
+
+class TestAffineFamily:
+    def test_sweeps_share_one_target_and_rate(self, monkeypatch):
+        from projbounds import affine
+
+        calls = []
+        original = affine.intersection_affine
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(affine, "intersection_affine", counting)
+        rng = np.random.default_rng(7)
+        members, _ = random_affine_family(rng, 3, 6)
+        fam = AffineFamily.of(members)
+        starts = rng.standard_normal((4, 6))
+        for sweep in (simultaneous_affine, cyclic_affine):
+            shared = [sweep(fam, x0, 5) for x0 in starts]
+            for x0, trace in zip(starts, shared):
+                fresh = sweep(members, x0, 5)
+                assert np.array_equal(trace.errors, fresh.errors)
+                assert np.array_equal(trace.bounds, fresh.bounds)
+        assert len(calls) == 1 + 2 * len(starts)  # once for fam, once per fresh call
+        assert AffineFamily.of(fam) is fam
+
+    def test_directions_validate_the_family(self):
+        with pytest.raises(InputError):
+            AffineFamily.of([])
+        line_in_r3 = AffineSubspace.from_point_span(np.zeros(3), np.eye(3)[:, :1])
+        with pytest.raises(InputError):
+            AffineFamily.of([horizontal_line(), line_in_r3])

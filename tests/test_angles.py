@@ -3,6 +3,7 @@ import pytest
 
 from projbounds import (
     DegenerateError,
+    Family,
     InputError,
     Subspace,
     cos_two,
@@ -45,6 +46,12 @@ class TestCosTwo:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             cos_two(Subspace.full(2), Subspace.full(3))
+
+    def test_takes_a_pair_family(self):
+        M1, M2 = lines_exact_60()
+        assert cos_two(Family.of([M1, M2])) == cos_two(M1, M2)
+        with pytest.raises(InputError, match="exactly two"):
+            cos_two(Family.of(triple_at_120()))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_symmetry(self, seed):

@@ -1,0 +1,138 @@
+"""The check table is the one source of check lists, and one run computes
+each family's intersection once."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from projbounds import InputError, cli, generate_random, generate_two_subspace, subspaces
+from projbounds.checks import CHECKS
+from projbounds.runner import DEFAULT_TOLERANCES, _battery_scenario, run_scenario, verify_battery
+from projbounds.scenario import format_scenario
+
+
+def table_checks(r):
+    """Every check the table lets run on r subspaces, in table order."""
+    return [name for name, check in CHECKS.items() if r == 2 or not check.pairs_only]
+
+
+def verify_checks(r):
+    """What verify runs: the same checks, pairs-only ones last."""
+    names = table_checks(r)
+    pairs = [n for n in names if CHECKS[n].pairs_only]
+    return [n for n in names if n not in pairs] + pairs
+
+
+def affine_pair(seed, method):
+    """A planted 50-degree pair of R^8 made affine with a common point."""
+    s = generate_two_subspace(50.0, 8, 2, seed=seed, k_max=6, method=method)
+    rng = np.random.default_rng(seed)
+    common = rng.standard_normal(s.ambient_dim)
+    for spec in s.subspaces:
+        spec.anchor = common + spec.spanning @ rng.standard_normal(spec.spanning.shape[1])
+    s.mode = "affine"
+    return s
+
+
+def cli_check_names(tmp_path, command, scenario):
+    path, out = tmp_path / "in.scenario", tmp_path / "out.json"
+    path.write_text(format_scenario(scenario))
+    assert cli.main([command, "--scenario", str(path), "--out", str(out)]) == 0
+    return [c["check"] for c in json.loads(out.read_text())["check_outcomes"]]
+
+
+class TestOneTable:
+    def test_table_holds_the_known_checks(self):
+        assert list(CHECKS) == ["norm_chain", "kw", "lemma_identity", "pierra_lift",
+                                "compare", "bounds"]
+        assert [n for n, c in CHECKS.items() if c.pairs_only] == ["kw", "compare"]
+        assert [n for n, c in CHECKS.items() if c.in_analyze] == [
+            "norm_chain", "kw", "lemma_identity", "compare"]
+        assert all(c.tolerance_key == n for n, c in CHECKS.items())
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_generate_random(self, r):
+        s = generate_random(r, 6, [2] * r, seed=1)
+        assert list(s.checks) == table_checks(r)
+
+    def test_generate_two_subspace(self):
+        assert list(generate_two_subspace(40.0, 5, 1, seed=0).checks) == table_checks(2)
+
+    def test_battery(self):
+        for index, child in enumerate(np.random.SeedSequence(3).spawn(6)):
+            s = _battery_scenario(index, child, 4)
+            assert list(s.checks) == table_checks(s.r)
+        doc = verify_battery(seed=3, count=12, kmax_cap=3)
+        assert {inst["r"] == 2 for inst in doc["instances"]} == {True, False}
+        for inst in doc["instances"]:
+            assert [c["check"] for c in inst["checks"]] == verify_checks(inst["r"])
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_verify_scenario(self, tmp_path, r):
+        s = generate_random(r, 6, [2] * r, seed=1, k_max=3)
+        assert cli_check_names(tmp_path, "verify", s) == verify_checks(r)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_analyze(self, tmp_path, r):
+        s = generate_random(r, 6, [2] * r, seed=1, k_max=3)
+        expected = [n for n in s.checks if CHECKS[n].in_analyze]
+        assert cli_check_names(tmp_path, "analyze", s) == expected
+
+
+class TestPairsOnly:
+    @pytest.mark.parametrize("name", ["kw", "compare"])
+    def test_override_on_three_subspaces_rejected(self, name):
+        s = generate_random(3, 6, [3, 3, 3], seed=1)
+        with pytest.raises(InputError, match="exactly two"):
+            run_scenario(s, checks_override=(name,))
+
+    def test_unknown_override_rejected(self):
+        s = generate_random(2, 4, [2, 2], seed=1)
+        with pytest.raises(InputError, match="unknown check"):
+            run_scenario(s, checks_override=("sparkle",))
+
+
+@pytest.fixture()
+def intersection_calls(monkeypatch):
+    calls = []
+    original = subspaces.intersection
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(subspaces, "intersection", counting)
+    return calls
+
+
+class TestIntersectionsPerRun:
+    @pytest.mark.parametrize("method", ["simultaneous", "cyclic", "product_alternating"])
+    def test_linear_family(self, intersection_calls, method):
+        s = generate_random(4, 10, [4, 4, 4, 4], seed=2, k_max=5, method=method)
+        rep = run_scenario(s)
+        assert rep.all_passed()
+        assert len(intersection_calls) <= 2  # the family and the product pair (C, D)
+
+    @pytest.mark.parametrize("method", ["simultaneous", "cyclic"])
+    def test_affine_pair(self, intersection_calls, method):
+        s = affine_pair(0, method)
+        rep = run_scenario(s, checks_override=verify_checks(2))
+        assert rep.all_passed() and len(rep.traces) == 2
+        assert len(intersection_calls) <= 3
+
+
+def test_readme_table_matches():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 5:
+            rows[cells[0].strip("`")] = cells
+    assert list(rows) == list(CHECKS)
+    for name, check in CHECKS.items():
+        _, _, tolerance, pairs_only, in_analyze = rows[name]
+        assert float(tolerance) == DEFAULT_TOLERANCES[check.tolerance_key]
+        assert pairs_only == ("yes" if check.pairs_only else "no")
+        assert in_analyze == ("yes" if check.in_analyze else "no")

@@ -47,6 +47,12 @@ class TestGenerate:
         assert result.returncode == 2
         assert "error:" in result.stderr
 
+    def test_non_integer_dims_exit_2(self):
+        result = run_cli("generate", "random", "--r", "2", "--dim", "4", "--dims", "2,x")
+        assert result.returncode == 2
+        assert "error:" in result.stderr and "--dims" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestRun:
     def test_json_report_and_exit_zero(self, scenario_file, tmp_path):
@@ -125,6 +131,12 @@ class TestVerify:
         r2 = run_cli("verify", "--count", "6", "--seed", "5", "--out", str(out2))
         assert r1.returncode == 0 and r2.returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("kmax", ["0", "-3"])
+    def test_battery_kmax_below_one_exits_2(self, kmax):
+        result = run_cli("verify", "--count", "2", "--kmax", kmax)
+        assert result.returncode == 2
+        assert "error:" in result.stderr and "Traceback" not in result.stderr
 
     def test_battery_document_shape(self):
         result = run_cli("verify", "--count", "3", "--seed", "8")

@@ -193,11 +193,15 @@ class TestBounds:
 
     def test_kw_fixtures(self):
         M1, M2 = lines_exact_60()
-        assert kw_bound(M1, M2, 1) == pytest.approx(0.5, abs=1e-12)
-        assert kw_bound(M1, M2, 2) == pytest.approx(0.125, abs=1e-12)
+        assert kw_bound([M1, M2], 1) == pytest.approx(0.5, abs=1e-12)
+        assert kw_bound([M1, M2], 2) == pytest.approx(0.125, abs=1e-12)
         A1, A2 = orthogonal_axes()
         for k in (1, 2, 5):
-            assert kw_bound(A1, A2, k) == pytest.approx(0.0, abs=1e-14)
+            assert kw_bound([A1, A2], k) == pytest.approx(0.0, abs=1e-14)
+
+    def test_kw_bound_needs_a_pair(self):
+        with pytest.raises(InputError):
+            kw_bound(triple_at_120(), 1)
 
     def test_cyclic_bound_fixtures(self):
         M1, M2 = lines_exact_60()
@@ -215,7 +219,7 @@ class TestBounds:
         M1, M2 = random_family(rng, 2, n)
         T = cyclic_operator([M1, M2])
         for k in (1, 2, 4, 8):
-            assert abs(error_operator_norm(T, k) - kw_bound(M1, M2, k)) <= 1e-9
+            assert abs(error_operator_norm(T, k) - kw_bound([M1, M2], k)) <= 1e-9
 
     @pytest.mark.parametrize("seed", range(8))
     def test_optimal_bound_matches_simultaneous_error_norm(self, seed):

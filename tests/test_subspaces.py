@@ -3,7 +3,9 @@ import pytest
 
 from projbounds import (
     ContainmentError,
+    Family,
     InputError,
+    RankTolerance,
     Subspace,
     intersection,
     reduced_component,
@@ -329,3 +331,60 @@ class TestReducedComponent:
         R = reduced_component(Mi, M)
         lhs = Mi.projector() - M.projector() - R.projector()
         assert spectral_norm(lhs) <= 1e-10
+
+
+class TestFamily:
+    def test_of_returns_a_family_unchanged(self):
+        fam = Family.of(random_family(np.random.default_rng(0), 3, 6))
+        assert Family.of(fam) is fam
+        assert Family.of(fam, 2) is fam
+
+    def test_of_rebuilds_under_another_tolerance(self):
+        fam = Family.of(random_family(np.random.default_rng(1), 2, 5))
+        other = Family.of(fam, tol=RankTolerance(relative_eps=1e-10))
+        assert other is not fam and other.members == fam.members
+
+    def test_validation(self):
+        with pytest.raises(InputError):
+            Family.of([])
+        with pytest.raises(InputError):
+            Family.of([Subspace.full(2), Subspace.full(3)])
+        with pytest.raises(InputError, match="at least 2"):
+            Family.of([Subspace.full(2)], 2)
+
+    def test_members_iterate_in_order(self):
+        subs = random_family(np.random.default_rng(2), 3, 7)
+        fam = Family.of(subs)
+        assert list(fam) == subs and len(fam) == 3 and fam.ambient_dim == 7
+
+    def test_quantities_match_the_free_functions(self):
+        subs = planted_family()
+        fam = Family.of(subs)
+        assert fam.intersection.same_as(intersection(subs))
+        for R, S in zip(fam.reduced, subs):
+            assert R.same_as(reduced_component(S, intersection(subs)))
+        averaged = sum(S.projector() for S in subs) / len(subs)
+        assert np.array_equal(fam.averaged_projector, averaged)
+        assert not fam.averaged_projector.flags.writeable
+
+    def test_intersection_computed_once(self, monkeypatch):
+        from projbounds import subspaces
+
+        calls = []
+        original = subspaces.intersection
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(subspaces, "intersection", counting)
+        fam = Family.of(planted_family())
+        assert fam.intersection is fam.intersection
+        assert fam.reduced is fam.reduced
+        assert len(calls) == 1
+
+
+def planted_family():
+    """Three subspaces of R^6 sharing exactly the first axis."""
+    eye = np.eye(6)
+    return [Subspace.from_spanning(eye[:, cols]) for cols in ([0, 1, 2], [0, 3], [0, 2, 4])]
