@@ -39,13 +39,7 @@ from .methods import (
     simultaneous_operator,
     verify_error_identity,
 )
-from .numlin import (
-    RankTolerance,
-    null_space,
-    orthonormal_basis,
-    spectral_norm,
-    symmetric_norm,
-)
+from .numlin import null_space, orthonormal_basis, spectral_norm, symmetric_norm
 from .productspace import (
     ProductSpaceModel,
     build_product,
@@ -79,7 +73,6 @@ __all__ = [
     "IterationTrace",
     "ProductSpaceModel",
     "ProjBoundsError",
-    "RankTolerance",
     "Scenario",
     "Subspace",
     "SubspaceSpec",

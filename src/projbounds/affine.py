@@ -21,7 +21,7 @@ import numpy as np
 from .angles import friedrichs_gram, optimal_rate
 from .errors import InfeasibleError, InputError
 from .methods import IterationTrace, cyclic_bound, error_profile
-from .numlin import DEFAULT_TOL, RankTolerance, as_vector
+from .numlin import as_vector
 from .subspaces import Family, Subspace
 
 __all__ = [
@@ -67,11 +67,9 @@ class AffineSubspace:
         return self.direction.dim
 
     @classmethod
-    def from_point_span(
-        cls, point, spanning, tol: RankTolerance = DEFAULT_TOL
-    ) -> "AffineSubspace":
+    def from_point_span(cls, point, spanning) -> "AffineSubspace":
         """The affine subspace through ``point`` spanned by ``spanning``'s columns."""
-        return cls(anchor=point, direction=Subspace.from_spanning(spanning, tol))
+        return cls(anchor=point, direction=Subspace.from_spanning(spanning))
 
     def project(self, x) -> np.ndarray:
         """Nearest point of the set to x, via P_V(x) = v + P_L(x - v)."""
@@ -93,16 +91,17 @@ class AffineFamily:
     directions: Family
 
     @classmethod
-    def of(cls, affines, tol: RankTolerance = DEFAULT_TOL) -> "AffineFamily":
-        if isinstance(affines, AffineFamily) and affines.directions.tol == tol:
+    def of(cls, affines) -> "AffineFamily":
+        """``affines`` if already an AffineFamily, else a new one."""
+        if isinstance(affines, AffineFamily):
             return affines
         members = tuple(affines)
-        return cls(members, Family.of([V.direction for V in members], tol=tol))
+        return cls(members, Family.of([V.direction for V in members]))
 
     @cached_property
     def target(self) -> AffineSubspace:
         """The intersection of the members; InfeasibleError when empty."""
-        return intersection_affine(self, self.directions.tol)
+        return intersection_affine(self)
 
     @cached_property
     def simultaneous_rate(self) -> float:
@@ -114,18 +113,15 @@ class AffineFamily:
         return 0.0 if len(self.members) == 1 else cyclic_bound(self.directions, 1)
 
 
-def intersection_affine(
-    affines, tol: RankTolerance = DEFAULT_TOL, feasibility_tol: float = FEASIBILITY_TOL
-) -> AffineSubspace:
+def intersection_affine(affines) -> AffineSubspace:
     """Intersection of affine subspaces, or InfeasibleError when empty.
 
     Solves the stacked membership system (I - P_i) x = (I - P_i) v_i in the
     least-squares sense; the minimum-norm solution is the canonical anchor
     and the direction is the intersection of the direction subspaces.  A
-    relative residual above ``feasibility_tol`` means no common point
-    exists.
+    relative residual above FEASIBILITY_TOL means no common point exists.
     """
-    fam = AffineFamily.of(affines, tol)
+    fam = AffineFamily.of(affines)
     eye = np.eye(fam.directions.ambient_dim)
     rows = []
     rhs = []
@@ -138,11 +134,11 @@ def intersection_affine(
     solution, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
     residual = float(np.linalg.norm(A @ solution - b))
     scale = max(1.0, float(np.linalg.norm(b)))
-    if residual > feasibility_tol * scale:
+    if residual > FEASIBILITY_TOL * scale:
         raise InfeasibleError(
             f"affine subspaces have empty intersection "
             f"(membership residual {residual:.3e} exceeds "
-            f"{feasibility_tol:.0e} * {scale:.3e})"
+            f"{FEASIBILITY_TOL:.0e} * {scale:.3e})"
         )
     return AffineSubspace(anchor=solution, direction=fam.directions.intersection)
 

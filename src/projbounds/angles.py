@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateError, InputError
-from .numlin import DEFAULT_TOL, RankTolerance, spectral_norm, symmetric_norm
+from .numlin import spectral_norm, symmetric_norm
 from .subspaces import Family, Subspace
 
 __all__ = [
@@ -86,9 +86,7 @@ def optimal_rate(friedrichs: FriedrichsResult, r: int) -> float:
     return (r - 1.0) / r * friedrichs.value + 1.0 / r
 
 
-def cos_two(
-    M1: Subspace | Family, M2: Subspace | None = None, tol: RankTolerance = DEFAULT_TOL
-) -> FriedrichsResult:
+def cos_two(M1: Subspace | Family, M2: Subspace | None = None) -> FriedrichsResult:
     """Friedrichs-angle cosine of a pair of subspaces.
 
     Computes M = M1 intersect M2, removes it from both subspaces, and
@@ -97,7 +95,7 @@ def cos_two(
     trivial.  ``M1`` may instead be the pair itself, with ``M2`` omitted;
     a two-member :class:`Family` passed so reuses its intersection.
     """
-    pair = Family.of(M1 if M2 is None else (M1, M2), 2, tol)
+    pair = Family.of(M1 if M2 is None else (M1, M2), 2)
     if len(pair) != 2:
         raise InputError(f"cos_two takes exactly two subspaces, got {len(pair)}")
     r1, r2 = pair.reduced
@@ -107,7 +105,7 @@ def cos_two(
     return _clamped(raw, False, ROUTE_PRINCIPAL)
 
 
-def friedrichs_gram(subspaces, tol: RankTolerance = DEFAULT_TOL) -> FriedrichsResult:
+def friedrichs_gram(subspaces) -> FriedrichsResult:
     """Friedrichs number via the block Gram matrix of reduced bases.
 
     With Q_i an orthonormal basis of M_i intersect M-perp and B the
@@ -119,7 +117,7 @@ def friedrichs_gram(subspaces, tol: RankTolerance = DEFAULT_TOL) -> FriedrichsRe
     columns but still count toward r.  Degenerate when every reduced part
     is trivial.
     """
-    fam = Family.of(subspaces, 2, tol)
+    fam = Family.of(subspaces, 2)
     blocks = [R.basis for R in fam.reduced if R.dim > 0]
     if not blocks:
         return _clamped(0.0, True, ROUTE_GRAM)
@@ -129,9 +127,7 @@ def friedrichs_gram(subspaces, tol: RankTolerance = DEFAULT_TOL) -> FriedrichsRe
     return _clamped(raw, False, ROUTE_GRAM)
 
 
-def friedrichs_from_norm(
-    subspaces, tol: RankTolerance = DEFAULT_TOL
-) -> FriedrichsResult:
+def friedrichs_from_norm(subspaces) -> FriedrichsResult:
     """Friedrichs number inverted from an operator norm.
 
     Uses the identity relating the averaged projector to the Friedrichs
@@ -143,7 +139,7 @@ def friedrichs_from_norm(
     because the left side is then 0 and the inversion formula does not
     apply (it would report a spurious negative value).
     """
-    fam = Family.of(subspaces, 2, tol)
+    fam = Family.of(subspaces, 2)
     r = len(fam)
     common = fam.intersection
     if all(S.dim == common.dim for S in fam):

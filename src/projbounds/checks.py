@@ -2,7 +2,9 @@
 
 Each entry holds the check's key in ``runner.DEFAULT_TOLERANCES`` (read
 when the check runs), whether it needs exactly two subspaces, whether
-``analyze`` runs it, and the function returning its residual and note.
+``analyze`` runs it, whether it needs at least one start (a residual over
+no starts would pass with nothing checked), and the function returning
+its residual and note.
 Scenario validation, the generators, the battery, ``run_scenario`` and the
 command line all take their check lists from this table.
 """
@@ -110,16 +112,17 @@ class Check(NamedTuple):
     tolerance_key: str
     pairs_only: bool
     in_analyze: bool
+    needs_start: bool
     fn: Callable[[CheckInputs], tuple[float, str]]
 
 
 CHECKS = {
-    "norm_chain": Check("norm_chain", False, True, _norm_chain),
-    "kw": Check("kw", True, True, _kw),
-    "lemma_identity": Check("lemma_identity", False, True, _lemma_identity),
-    "pierra_lift": Check("pierra_lift", False, False, _pierra_lift),
-    "compare": Check("compare", True, True, _compare),
-    "bounds": Check("bounds", False, False, _bounds),
+    "norm_chain": Check("norm_chain", False, True, False, _norm_chain),
+    "kw": Check("kw", True, True, False, _kw),
+    "lemma_identity": Check("lemma_identity", False, True, False, _lemma_identity),
+    "pierra_lift": Check("pierra_lift", False, False, True, _pierra_lift),
+    "compare": Check("compare", True, True, False, _compare),
+    "bounds": Check("bounds", False, False, True, _bounds),
 }
 
 
@@ -133,10 +136,13 @@ def suite_checks(r: int) -> tuple[str, ...]:
     return tuple(sorted(applicable_checks(r), key=lambda name: CHECKS[name].pairs_only))
 
 
-def validate_checks(names, r: int) -> None:
-    """Raise InputError for an unknown check, or a pairs-only one when r != 2."""
+def validate_checks(names, r: int, start_count: int) -> None:
+    """Raise InputError for an unknown check, a pairs-only one when r != 2,
+    or one that needs a start when ``start_count`` is 0."""
     for name in names:
         if name not in CHECKS:
             raise InputError(f"unknown check {name!r}; valid checks: {' '.join(CHECKS)}")
         if CHECKS[name].pairs_only and r != 2:
             raise InputError(f"check {name!r} requires exactly two subspaces")
+        if CHECKS[name].needs_start and start_count < 1:
+            raise InputError(f"check {name!r} requires at least one start")

@@ -12,15 +12,13 @@ repeated runs on the same platform are bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
 
 __all__ = [
-    "RankTolerance",
-    "DEFAULT_TOL",
+    "RANK_RELATIVE_EPS",
+    "RANK_ABSOLUTE_FLOOR",
     "orthonormal_basis",
     "null_space",
     "spectral_norm",
@@ -28,31 +26,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RankTolerance:
-    """Threshold policy for numerical rank decisions.
-
-    The effective cutoff for a matrix A is
-
-        max(rows, cols) * relative_eps * sigma_max(A)
-
-    floored at ``absolute_floor``.  Singular values at or below the cutoff
-    are treated as zero.  The default values are scale-aware and safe for
-    the dense, well-separated spectra this package produces.
-    """
-
-    relative_eps: float = 1e-12
-    absolute_floor: float = 1e-14
-
-    def __post_init__(self) -> None:
-        if not (self.relative_eps > 0.0 and self.absolute_floor > 0.0):
-            raise InputError("RankTolerance parameters must be strictly positive")
-
-    def cutoff(self, shape: tuple[int, int], sigma_max: float) -> float:
-        return max(max(shape) * self.relative_eps * sigma_max, self.absolute_floor)
-
-
-DEFAULT_TOL = RankTolerance()
+# The one rank policy: singular values at or below
+#     max(max(rows, cols) * RANK_RELATIVE_EPS * sigma_max(A), RANK_ABSOLUTE_FLOOR)
+# count as zero.  Scale-aware and safe for the dense, well-separated spectra
+# this package produces; every report echoes both values in its metadata.
+RANK_RELATIVE_EPS = 1e-12
+RANK_ABSOLUTE_FLOOR = 1e-14
 
 
 def as_matrix(A, name: str = "matrix") -> np.ndarray:
@@ -78,22 +57,28 @@ def as_vector(x, name: str = "vector", dim: int | None = None) -> np.ndarray:
     return v
 
 
-def orthonormal_basis(A, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
+def _rank(s: np.ndarray, shape: tuple[int, int], scale: float = 0.0) -> int:
+    """Numerical rank from the descending singular values ``s`` of a matrix
+    of ``shape``, under the module's rank policy; the relative cutoff is
+    measured against max(s[0], scale)."""
+    cutoff = max(max(shape) * RANK_RELATIVE_EPS * max(float(s[0]), scale), RANK_ABSOLUTE_FLOOR)
+    return int(np.count_nonzero(s > cutoff))
+
+
+def orthonormal_basis(A) -> np.ndarray:
     """Orthonormal basis of the column space of ``A``.
 
     Parameters
     ----------
     A : array-like, (n, m)
         Input matrix, at least one row.
-    tol : RankTolerance
-        Rank decision policy.
 
     Returns
     -------
     Q : ndarray, (n, rank)
         Orthonormal columns spanning the column space of A.  The column
-        count equals the numerical rank of A under ``tol``; an all-zero or
-        empty input yields a matrix with zero columns.
+        count equals the numerical rank of A; an all-zero or empty input
+        yields a matrix with zero columns.
     """
     M = as_matrix(A)
     if M.shape[0] < 1:
@@ -101,25 +86,23 @@ def orthonormal_basis(A, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
     if M.shape[1] == 0:
         return np.zeros((M.shape[0], 0))
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    rank = int(np.count_nonzero(s > tol.cutoff(M.shape, float(s[0]))))
-    return U[:, :rank].copy()
+    return U[:, :_rank(s, M.shape)].copy()
 
 
-def null_space(A, tol: RankTolerance = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
+def null_space(A, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the kernel {x : Ax = 0}.
 
     Parameters
     ----------
     A : array-like, (m, n)
         Input matrix, at least one column.
-    tol : RankTolerance
-        Rank decision policy (shared with :func:`orthonormal_basis`, so
-        rank + nullity = n holds exactly).
     scale : float
         Floor on the magnitude the relative cutoff is measured against,
         which is otherwise the largest singular value of A.  A caller whose
         A may be rounding noise throughout passes the norm A has at full
-        strength, so that the noise is not counted as rank.
+        strength, so that the noise is not counted as rank.  The rank
+        decision is otherwise the one :func:`orthonormal_basis` makes, so
+        rank + nullity = n holds exactly.
 
     Returns
     -------
@@ -135,8 +118,7 @@ def null_space(A, tol: RankTolerance = DEFAULT_TOL, scale: float = 0.0) -> np.nd
     # A thin SVD already yields all n right singular vectors when m >= n;
     # only a wide matrix needs the full factorization for its kernel.
     _, s, Vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    rank = int(np.count_nonzero(s > tol.cutoff(M.shape, max(float(s[0]), scale))))
-    return Vt[rank:].T.copy()
+    return Vt[_rank(s, M.shape, scale):].T.copy()
 
 
 def spectral_norm(A) -> float:

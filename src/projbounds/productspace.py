@@ -31,6 +31,7 @@ enters.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ import numpy as np
 from .angles import cos_two, friedrichs_gram, optimal_rate
 from .errors import DegenerateError, InputError
 from .methods import IterationTrace, error_profile
-from .numlin import DEFAULT_TOL, RankTolerance, as_vector, symmetric_norm
+from .numlin import as_vector, symmetric_norm
 from .subspaces import Family, Subspace
 
 __all__ = [
@@ -71,14 +72,14 @@ class ProductSpaceModel:
     pair: Family
 
 
-def build_product(subspaces, tol: RankTolerance = DEFAULT_TOL) -> ProductSpaceModel:
+def build_product(subspaces) -> ProductSpaceModel:
     """Assemble C (block-diagonal lift) and D (diagonal) for the family.
 
     C's basis stacks each factor's basis into its own block row; D's basis
     columns are (1/sqrt(r)) (e_j, ..., e_j), orthonormal under the standard
     metric.  dim C = sum_i dim M_i and dim D = n.
     """
-    fam = Family.of(subspaces, 2, tol)
+    fam = Family.of(subspaces, 2)
     n, r = fam.ambient_dim, len(fam)
     if n * r > MAX_PRODUCT_DIM:
         raise InputError(
@@ -92,7 +93,19 @@ def build_product(subspaces, tol: RankTolerance = DEFAULT_TOL) -> ProductSpaceMo
         col += S.dim
     D_basis = np.vstack([np.eye(n)] * r) / np.sqrt(r)
     C, D = Subspace(C_basis), Subspace(D_basis)
-    return ProductSpaceModel(n, r, C, D, fam, Family((C, D), tol))
+    return ProductSpaceModel(n, r, C, D, fam, Family((C, D)))
+
+
+def _exponents(k_values, least: int) -> list[int]:
+    """The distinct values of ``k_values``, ascending; InputError unless
+    there is at least one and each is an integer (Python or numpy) >= ``least``."""
+    try:
+        ks = sorted({operator.index(k) for k in k_values})
+    except TypeError:
+        raise InputError("exponents must be integers") from None
+    if not ks or ks[0] < least:
+        raise InputError(f"exponents must be a nonempty list of integers >= {least}")
+    return ks
 
 
 def lift_diag(model: ProductSpaceModel, x) -> np.ndarray:
@@ -106,14 +119,12 @@ def lift_diag(model: ProductSpaceModel, x) -> np.ndarray:
     return np.tile(v, model.factor_count)
 
 
-def cos_CD(model: ProductSpaceModel, tol: RankTolerance = DEFAULT_TOL) -> float:
+def cos_CD(model: ProductSpaceModel) -> float:
     """Friedrichs-angle cosine between C and D, computed inside R^(n*r)."""
-    return cos_two(model.pair, tol=tol).value
+    return cos_two(model.pair).value
 
 
-def chain_residual_profile(
-    subspaces, k_values, tol: RankTolerance = DEFAULT_TOL
-) -> dict[int, np.ndarray]:
+def chain_residual_profile(subspaces, k_values) -> dict[int, np.ndarray]:
     """Adjacent chain residuals for several exponents at once.
 
     Returns {k: residuals} where residuals are the five absolute adjacent
@@ -122,15 +133,14 @@ def chain_residual_profile(
     member remains an independent code path (direct power norm, single-step
     norm to the k, Friedrichs-formula rate, product-space angle, and the
     two product-operator analogues).  ``subspaces`` may be a model from
-    :func:`build_product`, used under the tolerance it was built with;
-    otherwise degeneracy is decided before the product space is built.
+    :func:`build_product`; otherwise degeneracy is decided before the
+    product space is built.  ``k_values`` must be a nonempty collection of
+    integers >= 1.
     """
-    wanted = sorted(set(int(k) for k in k_values))
-    if not wanted or wanted[0] < 1:
-        raise InputError("exponents must be integers >= 1")
+    wanted = _exponents(k_values, 1)
     model = subspaces if isinstance(subspaces, ProductSpaceModel) else None
-    fam = model.family if model else Family.of(subspaces, 2, tol)
-    fr = friedrichs_gram(fam, fam.tol)
+    fam = model.family if model else Family.of(subspaces, 2)
+    fr = friedrichs_gram(fam)
     if fr.degenerate:
         raise DegenerateError(
             "every subspace equals the intersection: all six chain members "
@@ -140,8 +150,8 @@ def chain_residual_profile(
     P_M = fam.intersection.projector()
     one_step = symmetric_norm(T - P_M)
     q = optimal_rate(fr, len(fam))
-    model = model or build_product(fam, fam.tol)
-    c_prod = cos_CD(model, fam.tol)
+    model = model or build_product(fam)
+    c_prod = cos_CD(model)
     P_C = model.C.projector()
     P_D = model.D.projector()
     P_CD = model.pair.intersection.projector()
@@ -169,9 +179,7 @@ def chain_residual_profile(
     return out
 
 
-def verify_norm_chain(
-    subspaces, k: int, tol: RankTolerance = DEFAULT_TOL
-) -> np.ndarray:
+def verify_norm_chain(subspaces, k: int) -> np.ndarray:
     """Five adjacent residuals of the six-member norm chain at exponent k.
 
     Each member is computed independently (see module docstring for the
@@ -179,24 +187,21 @@ def verify_norm_chain(
     DegenerateError when every subspace equals the intersection, in which
     case all six members are zero and the chain holds trivially.
     """
-    return chain_residual_profile(subspaces, [k], tol)[k]
+    return chain_residual_profile(subspaces, [k])[k]
 
 
-def pierra_lift_residual(
-    subspaces, starts, k_values, tol: RankTolerance = DEFAULT_TOL
-) -> float:
+def pierra_lift_residual(subspaces, starts, k_values) -> float:
     """Largest lift-consistency residual over the given starts and steps.
 
     For each start x and step count k, compares (P_D P_C)^k applied to the
     lifted start against the lift of T^k(x), plus the projector onto
     C intersect D against the lift of P_M(x).  Projectors are assembled
     once and shared across the grid.  ``subspaces`` may be a model from
-    :func:`build_product`, used under the tolerance it was built with.
+    :func:`build_product`.  ``k_values`` must be a nonempty collection of
+    integers >= 0.
     """
-    ks = sorted(set(int(k) for k in k_values))
-    if ks and ks[0] < 0:
-        raise InputError("step counts must be nonnegative")
-    model = subspaces if isinstance(subspaces, ProductSpaceModel) else build_product(subspaces, tol)
+    ks = _exponents(k_values, 0)
+    model = subspaces if isinstance(subspaces, ProductSpaceModel) else build_product(subspaces)
     P_C = model.C.projector()
     P_D = model.D.projector()
     P_CD = model.pair.intersection.projector()
@@ -227,7 +232,7 @@ def product_alternating_traces(model: ProductSpaceModel, starts, k_max) -> list[
     P_C = model.C.projector()
     P_D = model.D.projector()
     P_CD = model.pair.intersection.projector()
-    c_prod = cos_CD(model, model.family.tol)
+    c_prod = cos_CD(model)
     traces = []
     for x0 in starts:
         lifted = lift_diag(model, x0)
@@ -237,12 +242,10 @@ def product_alternating_traces(model: ProductSpaceModel, starts, k_max) -> list[
     return traces
 
 
-def verify_pierra_lift(
-    subspaces, x, k: int, tol: RankTolerance = DEFAULT_TOL
-) -> float:
+def verify_pierra_lift(subspaces, x, k: int) -> float:
     """Lift-consistency residual for one start and one step count.
 
     Returns || (P_D P_C)^k lift(x) - lift(T^k x) ||
           + || P_CD lift(x) - lift(P_M x) ||; the caller asserts <= 1e-9.
     """
-    return pierra_lift_residual(subspaces, [x], [k], tol)
+    return pierra_lift_residual(subspaces, [x], [k])

@@ -29,7 +29,7 @@ from .angles import (
 from .checks import CHECKS, CheckInputs, suite_checks, validate_checks
 from .errors import DegenerateError, InfeasibleError, InputError
 from .methods import IterationTrace, cyclic_operator, iterate, simultaneous_operator
-from .numlin import DEFAULT_TOL
+from .numlin import RANK_ABSOLUTE_FLOOR, RANK_RELATIVE_EPS
 from .productspace import product_alternating_traces
 from .scenario import METHODS, Scenario, validate_scenario
 from .subspaces import Family, Subspace
@@ -59,8 +59,8 @@ DEFAULT_TOLERANCES = {
     "pierra_lift": 1e-9,
     "compare": 1e-12,
     "bounds": 1e-10,
-    "rank_relative_eps": DEFAULT_TOL.relative_eps,
-    "rank_absolute_floor": DEFAULT_TOL.absolute_floor,
+    "rank_relative_eps": RANK_RELATIVE_EPS,
+    "rank_absolute_floor": RANK_ABSOLUTE_FLOOR,
 }
 
 
@@ -143,7 +143,7 @@ def run_scenario(s: Scenario, include_traces: bool = True,
     """
     validate_scenario(s)
     wanted = tuple(checks_override) if checks_override is not None else s.checks
-    validate_checks(wanted, s.r)
+    validate_checks(wanted, s.r, len(s.starts) + s.random_starts)
     t0 = time.perf_counter()
 
     if s.mode == "affine":

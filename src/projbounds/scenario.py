@@ -21,7 +21,7 @@ Top-level keys::
     random_starts: <int >= 0>           default 0
     checks: <names>                     names from ``checks.CHECKS``; the
                                         pairs-only ones need exactly two
-                                        subspaces
+                                        subspaces, some need a start
 
 Blocks::
 
@@ -194,7 +194,7 @@ def validate_scenario(s: Scenario) -> None:
     for j, x in enumerate(s.starts, 1):
         if len(x) != s.ambient_dim:
             _fail(None, f"start {j} must have length {s.ambient_dim}")
-    validate_checks(s.checks, s.r)
+    validate_checks(s.checks, s.r, len(s.starts) + s.random_starts)
     if s.mode == "affine" and s.method == "product_alternating":
         _fail(None, "method product_alternating requires linear mode")
 

@@ -18,15 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContainmentError, InputError
-from .numlin import (
-    DEFAULT_TOL,
-    RankTolerance,
-    as_matrix,
-    as_vector,
-    null_space,
-    orthonormal_basis,
-    spectral_norm,
-)
+from .numlin import as_matrix, as_vector, null_space, orthonormal_basis, spectral_norm
 
 __all__ = ["Subspace", "Family", "intersection", "reduced_component", "PROJECTOR_EQ_TOL"]
 
@@ -69,13 +61,13 @@ class Subspace:
         return self.basis.shape[1]
 
     @classmethod
-    def from_spanning(cls, vectors, tol: RankTolerance = DEFAULT_TOL) -> "Subspace":
+    def from_spanning(cls, vectors) -> "Subspace":
         """Subspace spanned by the columns of ``vectors`` (n x m, m >= 0).
 
         Dependent, repeated, or zero columns are harmless; the resulting
         basis has exactly rank-many columns.
         """
-        return cls(orthonormal_basis(as_matrix(vectors, "spanning vectors"), tol))
+        return cls(orthonormal_basis(as_matrix(vectors, "spanning vectors")))
 
     @classmethod
     def trivial(cls, n: int) -> "Subspace":
@@ -104,10 +96,10 @@ class Subspace:
         comp = null_space(self.basis.T) if self.dim else np.eye(self.ambient_dim)
         return Subspace(comp)
 
-    def contains(self, other: "Subspace", tol: float = PROJECTOR_EQ_TOL) -> bool:
+    def contains(self, other: "Subspace") -> bool:
         """Whether ``other`` is contained in this subspace.
 
-        Tests ||Q_o - Q_s (Q_s^T Q_o)|| <= tol, the part of other's basis
+        Tests ||Q_o - Q_s (Q_s^T Q_o)|| <= PROJECTOR_EQ_TOL, the part of other's basis
         outside this subspace; it equals ||P_s P_o - P_o||.
         """
         if other.ambient_dim != self.ambient_dim:
@@ -115,16 +107,16 @@ class Subspace:
         if other.dim == 0:
             return True
         Q_s, Q_o = self.basis, other.basis
-        return spectral_norm(Q_o - Q_s @ (Q_s.T @ Q_o)) <= tol
+        return spectral_norm(Q_o - Q_s @ (Q_s.T @ Q_o)) <= PROJECTOR_EQ_TOL
 
-    def same_as(self, other: "Subspace", tol: float = PROJECTOR_EQ_TOL) -> bool:
-        """Projector-level equality."""
+    def same_as(self, other: "Subspace") -> bool:
+        """Projector-level equality, to PROJECTOR_EQ_TOL."""
         if other.ambient_dim != self.ambient_dim:
             raise InputError("ambient dimensions differ")
-        return spectral_norm(self.projector() - other.projector()) <= tol
+        return spectral_norm(self.projector() - other.projector()) <= PROJECTOR_EQ_TOL
 
 
-def intersection(subspaces, tol: RankTolerance = DEFAULT_TOL) -> Subspace:
+def intersection(subspaces) -> Subspace:
     """Intersection of a nonempty list of subspaces.
 
     The member of smallest dimension, with basis Q (n x d), is the base:
@@ -137,7 +129,7 @@ def intersection(subspaces, tol: RankTolerance = DEFAULT_TOL) -> Subspace:
     reach, not against the largest sine alone: when the members coincide,
     every sine is rounding noise.
     """
-    subs = Family.of(subspaces, tol=tol).members
+    subs = Family.of(subspaces).members
     if len(subs) == 1:
         return subs[0]
     base = min(range(len(subs)), key=lambda i: subs[i].dim)
@@ -147,12 +139,10 @@ def intersection(subspaces, tol: RankTolerance = DEFAULT_TOL) -> Subspace:
     stacked = np.vstack(
         [Q - S.basis @ (S.basis.T @ Q) for i, S in enumerate(subs) if i != base]
     )
-    return Subspace(Q @ null_space(stacked, tol, scale=np.sqrt(len(subs) - 1)))
+    return Subspace(Q @ null_space(stacked, scale=np.sqrt(len(subs) - 1)))
 
 
-def reduced_component(
-    Mi: Subspace, M: Subspace, tol: RankTolerance = DEFAULT_TOL
-) -> Subspace:
+def reduced_component(Mi: Subspace, M: Subspace) -> Subspace:
     """The part of ``Mi`` orthogonal to a contained subspace ``M``.
 
     Requires M to be contained in Mi; the result R satisfies the orthogonal
@@ -165,7 +155,7 @@ def reduced_component(
     if Mi.dim == 0:
         return Subspace.trivial(Mi.ambient_dim)
     residual = Mi.basis - M.basis @ (M.basis.T @ Mi.basis)
-    return Subspace(orthonormal_basis(residual, tol))
+    return Subspace(orthonormal_basis(residual))
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,12 +163,11 @@ class Family:
     """A nonempty family M_1, ..., M_r of subspaces of one R^n, validated once.
 
     The intersection, the reduced components and the averaged projector
-    are computed under ``tol`` on first use and kept.  Iterating a family
+    are computed on first use and kept.  Iterating a family
     yields its members.
     """
 
     members: tuple[Subspace, ...]
-    tol: RankTolerance = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         members = tuple(self.members)
@@ -189,11 +178,11 @@ class Family:
         object.__setattr__(self, "members", members)
 
     @classmethod
-    def of(cls, subspaces, minimum: int = 1, tol: RankTolerance = DEFAULT_TOL) -> "Family":
-        """``subspaces`` if already a Family under ``tol``, else a new one;
-        InputError when it has fewer than ``minimum`` members."""
-        if not (isinstance(subspaces, Family) and subspaces.tol == tol):
-            subspaces = cls(tuple(subspaces), tol)
+    def of(cls, subspaces, minimum: int = 1) -> "Family":
+        """``subspaces`` if already a Family, else a new one; InputError
+        when it has fewer than ``minimum`` members."""
+        if not isinstance(subspaces, Family):
+            subspaces = cls(tuple(subspaces))
         if len(subspaces) < minimum:
             raise InputError(f"need at least {minimum} subspaces, got {len(subspaces)}")
         return subspaces
@@ -211,12 +200,12 @@ class Family:
     @cached_property
     def intersection(self) -> Subspace:
         """M = M_1 intersect ... intersect M_r."""
-        return intersection(self, self.tol)
+        return intersection(self)
 
     @cached_property
     def reduced(self) -> tuple[Subspace, ...]:
         """The reduced components M_i intersect M-perp, in member order."""
-        return tuple(reduced_component(S, self.intersection, self.tol) for S in self)
+        return tuple(reduced_component(S, self.intersection) for S in self)
 
     @cached_property
     def averaged_projector(self) -> np.ndarray:

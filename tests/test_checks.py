@@ -50,6 +50,7 @@ class TestOneTable:
         assert [n for n, c in CHECKS.items() if c.pairs_only] == ["kw", "compare"]
         assert [n for n, c in CHECKS.items() if c.in_analyze] == [
             "norm_chain", "kw", "lemma_identity", "compare"]
+        assert [n for n, c in CHECKS.items() if c.needs_start] == ["pierra_lift", "bounds"]
         assert all(c.tolerance_key == n for n, c in CHECKS.items())
 
     @pytest.mark.parametrize("r", [2, 3])
@@ -94,6 +95,32 @@ class TestPairsOnly:
             run_scenario(s, checks_override=("sparkle",))
 
 
+def no_start_scenario(checks):
+    s = generate_random(3, 6, [2, 2, 2], seed=1)
+    s.random_starts = 0
+    s.checks = checks
+    return s
+
+
+class TestNeedsStart:
+    @pytest.mark.parametrize("name", ["pierra_lift", "bounds"])
+    def test_run_scenario_rejects_no_starts(self, name):
+        with pytest.raises(InputError, match=f"{name}.*at least one start"):
+            run_scenario(no_start_scenario((name,)))
+        s = no_start_scenario(("norm_chain",))
+        with pytest.raises(InputError, match=f"{name}.*at least one start"):
+            run_scenario(s, checks_override=(name,))
+        s.starts = [np.ones(6)]
+        assert run_scenario(s, checks_override=(name,)).all_passed()
+
+    def test_verify_scenario_without_starts_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "no-starts.scenario"
+        path.write_text(format_scenario(no_start_scenario(("norm_chain",))))
+        assert cli.main(["analyze", "--scenario", str(path), "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(["verify", "--scenario", str(path)]) == 2
+        assert "at least one start" in capsys.readouterr().err
+
+
 @pytest.fixture()
 def intersection_calls(monkeypatch):
     calls = []
@@ -128,11 +155,12 @@ def test_readme_table_matches():
     rows = {}
     for line in readme.splitlines():
         cells = [c.strip() for c in line.strip("|").split("|")]
-        if line.startswith("| `") and len(cells) == 5:
+        if line.startswith("| `") and len(cells) == 6:
             rows[cells[0].strip("`")] = cells
     assert list(rows) == list(CHECKS)
     for name, check in CHECKS.items():
-        _, _, tolerance, pairs_only, in_analyze = rows[name]
+        _, _, tolerance, pairs_only, in_analyze, needs_start = rows[name]
         assert float(tolerance) == DEFAULT_TOLERANCES[check.tolerance_key]
         assert pairs_only == ("yes" if check.pairs_only else "no")
         assert in_analyze == ("yes" if check.in_analyze else "no")
+        assert needs_start == ("yes" if check.needs_start else "no")

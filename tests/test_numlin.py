@@ -3,12 +3,13 @@ import pytest
 
 from projbounds import (
     InputError,
-    RankTolerance,
     null_space,
     orthonormal_basis,
     spectral_norm,
     symmetric_norm,
 )
+from projbounds.numlin import RANK_ABSOLUTE_FLOOR, RANK_RELATIVE_EPS
+from projbounds.runner import DEFAULT_TOLERANCES
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -205,19 +206,27 @@ class TestSymmetricNorm:
 
 
 class TestRankTolerance:
-    def test_defaults(self):
-        tol = RankTolerance()
-        assert tol.relative_eps == 1e-12
-        assert tol.absolute_floor == 1e-14
+    """The one rank policy: cutoff max(2 * 1e-12 * sigma_max, 1e-14) here."""
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InputError):
-            RankTolerance(relative_eps=0.0)
-        with pytest.raises(InputError):
-            RankTolerance(absolute_floor=-1e-9)
+    def test_defaults(self):
+        assert RANK_RELATIVE_EPS == 1e-12
+        assert RANK_ABSOLUTE_FLOOR == 1e-14
+        # reports echo the policy the kernels use
+        assert DEFAULT_TOLERANCES["rank_relative_eps"] == RANK_RELATIVE_EPS
+        assert DEFAULT_TOLERANCES["rank_absolute_floor"] == RANK_ABSOLUTE_FLOOR
 
     def test_tiny_singular_value_below_cutoff(self):
         A = np.diag([1.0, 1e-13])
         assert orthonormal_basis(A).shape[1] == 1
-        loose = RankTolerance(relative_eps=1e-16, absolute_floor=1e-16)
-        assert orthonormal_basis(A, loose).shape[1] == 2
+        assert null_space(A).shape[1] == 1
+
+    def test_small_singular_value_above_cutoff(self):
+        A = np.diag([1.0, 1e-11])
+        assert orthonormal_basis(A).shape[1] == 2
+        assert null_space(A).shape[1] == 0
+
+    def test_absolute_floor(self):
+        # relative cutoff 1e-27, but the floor makes the matrix rank 0
+        A = np.array([[1e-15]])
+        assert orthonormal_basis(A).shape[1] == 0
+        assert null_space(A).shape[1] == 1

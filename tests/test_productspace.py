@@ -15,7 +15,7 @@ from projbounds import (
     verify_norm_chain,
     verify_pierra_lift,
 )
-from projbounds.productspace import chain_residual_profile
+from projbounds.productspace import chain_residual_profile, pierra_lift_residual
 from helpers import lines_exact_60, orthogonal_axes, random_family, triple_at_120
 
 
@@ -189,6 +189,23 @@ class TestPierraLift:
         x = rng.standard_normal(n)
         k = int(rng.integers(0, 11))
         assert verify_pierra_lift(subs, x, k) <= 1e-9
+
+
+class TestExponentLists:
+    @pytest.mark.parametrize("ks", [[], [1.7], [0, 2.5]])
+    def test_pierra_rejects(self, ks):
+        with pytest.raises(InputError, match="exponents"):
+            pierra_lift_residual(lines_exact_60(), [np.array([1.0, 0.0])], ks)
+
+    @pytest.mark.parametrize("ks", [[1.9], [2, 2.5]])
+    def test_chain_rejects(self, ks):
+        with pytest.raises(InputError, match="exponents"):
+            chain_residual_profile(lines_exact_60(), ks)
+
+    def test_numpy_integers_accepted(self):
+        subs = lines_exact_60()
+        assert sorted(chain_residual_profile(subs, np.arange(1, 4))) == [1, 2, 3]
+        assert pierra_lift_residual(subs, [np.array([1.0, 0.0])], np.arange(4)) <= 1e-10
 
 
 class TestProductOperatorOnDiagonal:

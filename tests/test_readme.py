@@ -1,0 +1,14 @@
+"""The README's python examples run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_python_blocks_run_in_order():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert len(blocks) >= 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)

@@ -5,7 +5,6 @@ from projbounds import (
     ContainmentError,
     Family,
     InputError,
-    RankTolerance,
     Subspace,
     intersection,
     reduced_component,
@@ -338,11 +337,6 @@ class TestFamily:
         fam = Family.of(random_family(np.random.default_rng(0), 3, 6))
         assert Family.of(fam) is fam
         assert Family.of(fam, 2) is fam
-
-    def test_of_rebuilds_under_another_tolerance(self):
-        fam = Family.of(random_family(np.random.default_rng(1), 2, 5))
-        other = Family.of(fam, tol=RankTolerance(relative_eps=1e-10))
-        assert other is not fam and other.members == fam.members
 
     def test_validation(self):
         with pytest.raises(InputError):
