@@ -11,6 +11,10 @@ that identity (powers of T - P_M avoid the cancellation that forming T^k
 and subtracting would suffer), while :func:`verify_error_identity` checks
 the identity itself with both sides formed independently.
 
+Each function of the step count k takes one exponent (a float results) or
+a 1-d integer array of them (an array of its shape results): matrix powers
+come from one walk of :func:`powers`, rates are computed once and raised.
+
 The optimal starting-point-independent rate of the simultaneous method is
 
     q = (r-1)/r * cos(M_1, ..., M_r) + 1/r,
@@ -167,32 +171,60 @@ def error_profile(x: np.ndarray, target: np.ndarray, step, k_max: int) -> np.nda
     return errors
 
 
-def _matrix_power(A: np.ndarray, k: int) -> np.ndarray:
-    """A^k for k >= 1 by binary square-and-multiply."""
-    result = None
-    base = A
+def powers(A: np.ndarray):
+    """A, A^2, A^3, ... without end, one matrix product per step."""
+    power = A
     while True:
-        if k & 1:
-            result = base if result is None else result @ base
-        k >>= 1
-        if not k:
-            return result
-        base = base @ base
+        yield power
+        power = power @ A
 
 
-def error_operator_norm(T: IterOperator, k: int) -> float:
+def exponents(k, least: int = 1) -> np.ndarray:
+    """``k`` as a 0-d (one) or 1-d (several, any order, repeats allowed)
+    integer array; InputError unless every exponent is an integer >= ``least``."""
+    ks = np.asarray(k)
+    if ks.ndim > 1 or not ks.size or not np.issubdtype(ks.dtype, np.integer) or ks.min() < least:
+        raise InputError(f"exponents must be an integer >= {least} or a nonempty 1-d list of them")
+    return ks
+
+
+def power_sweep(ks: np.ndarray, value, *bases: np.ndarray) -> dict:
+    """{k: value(A^k, B^k, ...)} for each k of ``ks`` (see :func:`exponents`).
+
+    One walk of :func:`powers` per base up to max(ks); ``value`` is called
+    only at the wanted k.  Each base advances in turn, so no more than one
+    superseded power is alive at a time.
+    """
+    wanted, out = set(ks.flat), {}
+    walks = [powers(A) for A in bases]
+    current = [None] * len(bases)
+    for k in range(1, int(ks.max()) + 1):
+        for i, walk in enumerate(walks):
+            current[i] = next(walk)
+        if k in wanted:
+            out[k] = value(*current)
+    return out
+
+
+def _per_k(ks: np.ndarray, value_at):
+    """value_at(k) for each k of ``ks``: a float for one exponent, else an
+    array of the shape of ``ks``."""
+    if ks.ndim == 0:
+        return float(value_at(int(ks)))
+    return np.array([value_at(k) for k in ks.tolist()], dtype=float)
+
+
+def error_operator_norm(T: IterOperator, k):
     """|| T^k - P_M ||, computed as the norm of (T - P_M)^k.
 
     Powering the difference operator keeps full relative accuracy even when
     T^k is already close to P_M; k = 0 is excluded by contract.
     """
-    if k < 1:
-        raise InputError("k must be at least 1")
-    E = _matrix_power(T.matrix - T.limit_projector, k)
-    return spectral_norm(E)
+    ks = exponents(k)
+    return _per_k(ks, power_sweep(ks, spectral_norm, T.matrix - T.limit_projector).get)
 
 
-def optimal_bound_simultaneous(subspaces, k: int) -> float:
+def optimal_bound_simultaneous(subspaces, k):
     """q^k with q = (r-1)/r * cos(M_1,...,M_r) + 1/r.
 
     This is the smallest constant c such that ||T^k(x) - P_M(x)|| <= c ||x||
@@ -201,21 +233,20 @@ def optimal_bound_simultaneous(subspaces, k: int) -> float:
     bound is 0; the rate formula does not cover that case.
     """
     fam = Family.of(subspaces, 2)
-    if k < 1:
-        raise InputError("k must be at least 1")
-    return optimal_rate(friedrichs_gram(fam), len(fam)) ** k
+    ks = exponents(k)
+    q = optimal_rate(friedrichs_gram(fam), len(fam))
+    return _per_k(ks, lambda k: q**k)
 
 
-def kw_bound(subspaces, k: int) -> float:
+def kw_bound(subspaces, k):
     """cos(M1, M2)^(2k-1), the exact two-subspace alternating error norm,
     for the pair ``subspaces`` = (M1, M2) or a two-member Family."""
-    if k < 1:
-        raise InputError("k must be at least 1")
+    ks = exponents(k)
     c = cos_two(subspaces).value
-    return c ** (2 * k - 1)
+    return _per_k(ks, lambda k: c ** (2 * k - 1))
 
 
-def cyclic_bound(subspaces, k: int) -> float:
+def cyclic_bound(subspaces, k):
     """Product bound for the cyclic method, || P_r' ... P_1' ||^k.
 
     P_i' projects onto the reduced component M_i intersect M-perp.  The
@@ -225,29 +256,25 @@ def cyclic_bound(subspaces, k: int) -> float:
     0 < cos < 1.
     """
     fam = Family.of(subspaces, 2)
-    if k < 1:
-        raise InputError("k must be at least 1")
+    ks = exponents(k)
     product = np.eye(fam.ambient_dim)
     for R in fam.reduced:
         product = R.projector() @ product
-    return spectral_norm(product) ** k
+    base = spectral_norm(product)
+    return _per_k(ks, lambda k: base**k)
 
 
-def verify_error_identity(T: IterOperator, k: int) -> float:
+def verify_error_identity(T: IterOperator, k):
     """Residual || (T^k - P_M) - (T - P_M)^k || with independent sides.
 
-    The left side powers T by iterated multiplication and subtracts P_M;
-    the right side powers T - P_M by binary squaring.  Agreement of the
-    two is evidence for the absorption identity, not a tautology.
+    The left side powers T and subtracts P_M; the right side powers
+    T - P_M.  Agreement of the two is evidence for the absorption
+    identity, not a tautology.
     """
-    if k < 1:
-        raise InputError("k must be at least 1")
-    Tk = T.matrix
-    for _ in range(k - 1):
-        Tk = Tk @ T.matrix
-    lhs = Tk - T.limit_projector
-    rhs = _matrix_power(T.matrix - T.limit_projector, k)
-    return spectral_norm(lhs - rhs)
+    ks = exponents(k)
+    P = T.limit_projector
+    residuals = power_sweep(ks, lambda Tk, Ek: spectral_norm((Tk - P) - Ek), T.matrix, T.matrix - P)
+    return _per_k(ks, residuals.get)
 
 
 def compare_methods(M1: Subspace, M2: Subspace, k: int) -> tuple[float, float]:

@@ -31,14 +31,13 @@ enters.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .angles import cos_two, friedrichs_gram, optimal_rate
 from .errors import DegenerateError, InputError
-from .methods import IterationTrace, error_profile
+from .methods import IterationTrace, error_profile, exponents, power_sweep
 from .numlin import as_vector, symmetric_norm
 from .subspaces import Family, Subspace
 
@@ -96,18 +95,6 @@ def build_product(subspaces) -> ProductSpaceModel:
     return ProductSpaceModel(n, r, C, D, fam, Family((C, D)))
 
 
-def _exponents(k_values, least: int) -> list[int]:
-    """The distinct values of ``k_values``, ascending; InputError unless
-    there is at least one and each is an integer (Python or numpy) >= ``least``."""
-    try:
-        ks = sorted({operator.index(k) for k in k_values})
-    except TypeError:
-        raise InputError("exponents must be integers") from None
-    if not ks or ks[0] < least:
-        raise InputError(f"exponents must be a nonempty list of integers >= {least}")
-    return ks
-
-
 def lift_diag(model: ProductSpaceModel, x) -> np.ndarray:
     """The diagonal lift (x, ..., x) of a base-space vector.
 
@@ -129,15 +116,16 @@ def chain_residual_profile(subspaces, k_values) -> dict[int, np.ndarray]:
 
     Returns {k: residuals} where residuals are the five absolute adjacent
     differences of the chain members at exponent k.  The two direct power
-    norms are built incrementally over k; everything else about each chain
+    norms come from one walk of matrix powers up to the largest k
+    (:func:`methods.power_sweep`); everything else about each chain
     member remains an independent code path (direct power norm, single-step
     norm to the k, Friedrichs-formula rate, product-space angle, and the
     two product-operator analogues).  ``subspaces`` may be a model from
     :func:`build_product`; otherwise degeneracy is decided before the
-    product space is built.  ``k_values`` must be a nonempty collection of
-    integers >= 1.
+    product space is built.  ``k_values`` is one integer >= 1 or a
+    nonempty 1-d collection of them (:func:`methods.exponents`).
     """
-    wanted = _exponents(k_values, 1)
+    ks = exponents(k_values)
     model = subspaces if isinstance(subspaces, ProductSpaceModel) else None
     fam = model.family if model else Family.of(subspaces, 2)
     fr = friedrichs_gram(fam)
@@ -158,25 +146,14 @@ def chain_residual_profile(subspaces, k_values) -> dict[int, np.ndarray]:
     T_prod = P_D @ P_C @ P_D
     del P_C, P_D  # two dense nr x nr matrices the power loop does not need
     prod_one_step = symmetric_norm(T_prod - P_CD)
-    out: dict[int, np.ndarray] = {}
-    Tk = None
-    Tpk = None
-    for k in range(1, wanted[-1] + 1):
-        Tk = T if Tk is None else Tk @ T
-        Tpk = T_prod if Tpk is None else Tpk @ T_prod
-        if k in wanted:
-            members = np.array(
-                [
-                    symmetric_norm(Tk - P_M),
-                    one_step**k,
-                    q**k,
-                    c_prod ** (2 * k),
-                    prod_one_step**k,
-                    symmetric_norm(Tpk - P_CD),
-                ]
-            )
-            out[k] = np.abs(np.diff(members))
-    return out
+
+    def direct_norms(Tk, Tpk):
+        return symmetric_norm(Tk - P_M), symmetric_norm(Tpk - P_CD)
+
+    return {
+        k: np.abs(np.diff([norm, one_step**k, q**k, c_prod ** (2 * k), prod_one_step**k, prod]))
+        for k, (norm, prod) in power_sweep(ks, direct_norms, T, T_prod).items()
+    }
 
 
 def verify_norm_chain(subspaces, k: int) -> np.ndarray:
@@ -197,10 +174,14 @@ def pierra_lift_residual(subspaces, starts, k_values) -> float:
     lifted start against the lift of T^k(x), plus the projector onto
     C intersect D against the lift of P_M(x).  Projectors are assembled
     once and shared across the grid.  ``subspaces`` may be a model from
-    :func:`build_product`.  ``k_values`` must be a nonempty collection of
-    integers >= 0.
+    :func:`build_product`.  ``k_values`` is one integer >= 0 or a nonempty
+    1-d collection of them (:func:`methods.exponents`); ``starts`` must not
+    be empty, since a residual over no starts would check nothing.
     """
-    ks = _exponents(k_values, 0)
+    ks = sorted(set(exponents(k_values, 0).flat))
+    starts = list(starts)
+    if not starts:
+        raise InputError("pierra_lift_residual needs at least one start")
     model = subspaces if isinstance(subspaces, ProductSpaceModel) else build_product(subspaces)
     P_C = model.C.projector()
     P_D = model.D.projector()

@@ -2,7 +2,17 @@
 
 import numpy as np
 
-from projbounds import Subspace, null_space
+from projbounds import (
+    Subspace,
+    cyclic_bound,
+    cyclic_operator,
+    error_operator_norm,
+    kw_bound,
+    null_space,
+    optimal_bound_simultaneous,
+    simultaneous_operator,
+    verify_error_identity,
+)
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -104,3 +114,17 @@ def perturbed_family(
         )
         for _ in range(r)
     ]
+
+
+def k_indexed_calls(subs, k):
+    """The five functions indexed by the step count, each bound to the
+    family ``subs`` (kw_bound to its first two members) and exponent(s) ``k``."""
+    subs = list(subs)
+    T_sim, T_cyc = simultaneous_operator(subs), cyclic_operator(subs)
+    return {
+        "error_operator_norm": lambda: error_operator_norm(T_cyc, k),
+        "verify_error_identity": lambda: verify_error_identity(T_sim, k),
+        "kw_bound": lambda: kw_bound(subs[:2], k),
+        "optimal_bound_simultaneous": lambda: optimal_bound_simultaneous(subs, k),
+        "cyclic_bound": lambda: cyclic_bound(subs, k),
+    }

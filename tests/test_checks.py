@@ -2,12 +2,14 @@
 each family's intersection once."""
 
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from projbounds import InputError, cli, generate_random, generate_two_subspace, subspaces
+from projbounds import InputError, angles, cli, generate_random, generate_two_subspace, subspaces
 from projbounds.checks import CHECKS
 from projbounds.runner import DEFAULT_TOLERANCES, _battery_scenario, run_scenario, verify_battery
 from projbounds.scenario import format_scenario
@@ -148,6 +150,35 @@ class TestIntersectionsPerRun:
         rep = run_scenario(s, checks_override=verify_checks(2))
         assert rep.all_passed() and len(rep.traces) == 2
         assert len(intersection_calls) <= 3
+
+
+@pytest.fixture()
+def friedrichs_calls(monkeypatch):
+    """Counts of cos_two and friedrichs_gram calls, wherever they are imported."""
+    calls = Counter()
+    for name in ("cos_two", "friedrichs_gram"):
+        original = getattr(angles, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("projbounds"):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_friedrichs_calls_do_not_grow_with_k_max(friedrichs_calls):
+    counts = []
+    for k_max in (5, 30):
+        friedrichs_calls.clear()
+        s = generate_two_subspace(50.0, 8, 2, seed=0, k_max=k_max)
+        assert run_scenario(s, checks_override=("kw", "compare")).all_passed()
+        counts.append(dict(friedrichs_calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["cos_two"] >= 1 and counts[0]["friedrichs_gram"] >= 1
 
 
 def test_readme_table_matches():

@@ -17,7 +17,13 @@ from projbounds import (
     spectral_norm,
     verify_error_identity,
 )
-from helpers import lines_exact_60, orthogonal_axes, random_family, triple_at_120
+from helpers import (
+    k_indexed_calls,
+    lines_exact_60,
+    orthogonal_axes,
+    random_family,
+    triple_at_120,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -306,3 +312,23 @@ class TestCompareMethods:
             assert first <= second + 1e-12
             if c <= 1.0 - 1e-6:
                 assert second - first >= 1e-12
+
+
+class TestExponentArrays:
+    """Each k-indexed function takes one exponent or a 1-d integer array."""
+
+    @pytest.mark.parametrize("k", [0, -1, 1.5, [], np.ones((2, 2), dtype=int)],
+                             ids=["zero", "negative", "float", "empty", "2-d"])
+    def test_bad_exponents_rejected(self, k):
+        for call in k_indexed_calls(lines_exact_60(), k).values():
+            with pytest.raises(InputError, match="exponents"):
+                call()
+
+    def test_array_shape_and_values(self):
+        ks = np.array([3, 1, 3])
+        T = simultaneous_operator(lines_exact_60())
+        norms = error_operator_norm(T, ks)
+        assert isinstance(norms, np.ndarray) and norms.shape == (3,)
+        assert norms == pytest.approx([0.421875, 0.75, 0.421875], abs=1e-12)
+        assert kw_bound(lines_exact_60(), ks) == pytest.approx([0.03125, 0.5, 0.03125], abs=1e-12)
+        assert isinstance(error_operator_norm(T, np.int64(3)), float)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,10 @@ class TestExponentLists:
         with pytest.raises(InputError, match="exponents"):
             chain_residual_profile(lines_exact_60(), ks)
 
+    def test_pierra_rejects_no_starts(self):
+        with pytest.raises(InputError, match="start"):
+            pierra_lift_residual(lines_exact_60(), [], [0, 1, 2])
+
     def test_numpy_integers_accepted(self):
         subs = lines_exact_60()
         assert sorted(chain_residual_profile(subs, np.arange(1, 4))) == [1, 2, 3]
@@ -246,3 +252,19 @@ class TestProductOperatorOnDiagonal:
         assert spectral_norm(T.matrix - T.limit_projector) < 1.0
         assert alternating < 1.0
         assert cos_CD(model) < 1.0
+
+
+def test_chain_profile_peak_memory():
+    # The chain walks powers of T and of T_prod = P_D P_C P_D; advancing
+    # the two walks together would keep one more nr x nr matrix alive.
+    rng = np.random.default_rng(0)
+    model = build_product(random_family(rng, 4, 150, [50] * 4))
+    cos_CD(model)  # C intersect D is cached on the model, outside the count
+    nr = model.base_dim * model.factor_count
+    tracemalloc.start()
+    try:
+        chain_residual_profile(model, range(1, 17))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * nr * nr * 8
