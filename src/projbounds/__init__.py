@@ -29,7 +29,6 @@ from .errors import (
 from .methods import (
     IterationTrace,
     IterOperator,
-    compare_methods,
     cyclic_bound,
     cyclic_operator,
     error_operator_norm,
@@ -43,10 +42,10 @@ from .numlin import null_space, orthonormal_basis, spectral_norm, symmetric_norm
 from .productspace import (
     ProductSpaceModel,
     build_product,
+    chain_residual_profile,
     cos_CD,
     lift_diag,
-    verify_norm_chain,
-    verify_pierra_lift,
+    pierra_lift_residual,
 )
 from .scenario import (
     Scenario,
@@ -77,7 +76,7 @@ __all__ = [
     "Subspace",
     "SubspaceSpec",
     "build_product",
-    "compare_methods",
+    "chain_residual_profile",
     "cos_CD",
     "cos_two",
     "cyclic_affine",
@@ -98,12 +97,11 @@ __all__ = [
     "optimal_bound_simultaneous",
     "orthonormal_basis",
     "parse_scenario",
+    "pierra_lift_residual",
     "reduced_component",
     "simultaneous_affine",
     "simultaneous_operator",
     "spectral_norm",
     "symmetric_norm",
     "verify_error_identity",
-    "verify_norm_chain",
-    "verify_pierra_lift",
 ]

@@ -65,7 +65,7 @@ def _norm_chain(run: CheckInputs) -> tuple[float, str]:
     except DegenerateError as exc:
         run.chain_residuals = [0.0] * 5
         return 0.0, f"degenerate: {exc}"
-    worst = np.max(np.vstack(list(profile.values())), axis=0)
+    worst = np.max(profile, axis=0)
     run.chain_residuals = [float(v) for v in worst]
     return float(np.max(worst)), f"max adjacent residuals over k=1..{run.k_max}"
 

@@ -27,13 +27,14 @@ one-sided product bound of :func:`cyclic_bound` is available.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .angles import cos_two, friedrichs_gram, optimal_rate
 from .errors import InputError
 from .numlin import as_vector, spectral_norm
-from .subspaces import Family, Subspace
+from .subspaces import Family
 
 __all__ = [
     "IterOperator",
@@ -43,13 +44,13 @@ __all__ = [
     "simultaneous_operator",
     "cyclic_operator",
     "iterate",
+    "orbit",
     "error_profile",
     "error_operator_norm",
     "optimal_bound_simultaneous",
     "kw_bound",
     "cyclic_bound",
     "verify_error_identity",
-    "compare_methods",
 ]
 
 KIND_SIMULTANEOUS = "simultaneous"
@@ -161,14 +162,17 @@ def iterate(T: IterOperator, x0, k_max: int) -> IterationTrace:
     return IterationTrace(start=x, errors=errors, bounds=bounds)
 
 
+def orbit(step, x):
+    """x, step(x), step(step(x)), ... without end; a step is taken only
+    when the next iterate is asked for."""
+    while True:
+        yield x
+        x = step(x)
+
+
 def error_profile(x: np.ndarray, target: np.ndarray, step, k_max: int) -> np.ndarray:
     """||x_k - target|| for k = 0..k_max, where x_0 = x and x_k = step(x_(k-1))."""
-    errors = np.empty(k_max + 1)
-    errors[0] = np.linalg.norm(x - target)
-    for k in range(1, k_max + 1):
-        x = step(x)
-        errors[k] = np.linalg.norm(x - target)
-    return errors
+    return np.array([np.linalg.norm(y - target) for y in islice(orbit(step, x), k_max + 1)])
 
 
 def powers(A: np.ndarray):
@@ -275,15 +279,3 @@ def verify_error_identity(T: IterOperator, k):
     P = T.limit_projector
     residuals = power_sweep(ks, lambda Tk, Ek: spectral_norm((Tk - P) - Ek), T.matrix, T.matrix - P)
     return _per_k(ks, residuals.get)
-
-
-def compare_methods(M1: Subspace, M2: Subspace, k: int) -> tuple[float, float]:
-    """(cyclic exact norm, simultaneous optimal bound) at step k.
-
-    The first entry never exceeds the second, strictly so on any
-    non-degenerate pair with cos(M1, M2) < 1: alternating projections
-    converge at least as fast as the averaged variant.  On a degenerate
-    pair both entries are 0.
-    """
-    pair = Family.of((M1, M2), 2)
-    return kw_bound(pair, k), optimal_bound_simultaneous(pair, k)

@@ -32,12 +32,13 @@ enters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .angles import cos_two, friedrichs_gram, optimal_rate
 from .errors import DegenerateError, InputError
-from .methods import IterationTrace, error_profile, exponents, power_sweep
+from .methods import IterationTrace, error_profile, exponents, orbit, power_sweep
 from .numlin import as_vector, symmetric_norm
 from .subspaces import Family, Subspace
 
@@ -47,9 +48,7 @@ __all__ = [
     "build_product",
     "lift_diag",
     "cos_CD",
-    "verify_norm_chain",
     "chain_residual_profile",
-    "verify_pierra_lift",
     "pierra_lift_residual",
     "product_alternating_traces",
 ]
@@ -63,12 +62,19 @@ class ProductSpaceModel:
     """The lifted pair (C, D) in R^(n*r) of the base ``family``; ``pair``
     is (C, D) as a Family, so that C intersect D is computed once."""
 
-    base_dim: int
-    factor_count: int
     C: Subspace
     D: Subspace
     family: Family
     pair: Family
+
+    def step(self, y: np.ndarray) -> np.ndarray:
+        """One lifted alternating step P_D P_C y, through the bases of C and D."""
+        return self.D.project(self.C.project(y))
+
+    def limit(self, y: np.ndarray) -> np.ndarray:
+        """P_CD y, the limit of the lifted iteration from y, through the
+        basis of C intersect D."""
+        return self.pair.intersection.project(y)
 
 
 def build_product(subspaces) -> ProductSpaceModel:
@@ -92,7 +98,7 @@ def build_product(subspaces) -> ProductSpaceModel:
         col += S.dim
     D_basis = np.vstack([np.eye(n)] * r) / np.sqrt(r)
     C, D = Subspace(C_basis), Subspace(D_basis)
-    return ProductSpaceModel(n, r, C, D, fam, Family((C, D)))
+    return ProductSpaceModel(C, D, fam, Family((C, D)))
 
 
 def lift_diag(model: ProductSpaceModel, x) -> np.ndarray:
@@ -102,8 +108,8 @@ def lift_diag(model: ProductSpaceModel, x) -> np.ndarray:
     averaged metric it has norm ||x||.  Callers compare lifted vectors with
     lifted vectors, so either convention gives the same verdict.
     """
-    v = as_vector(x, "vector", model.base_dim)
-    return np.tile(v, model.factor_count)
+    v = as_vector(x, "vector", model.family.ambient_dim)
+    return np.tile(v, len(model.family))
 
 
 def cos_CD(model: ProductSpaceModel) -> float:
@@ -111,16 +117,18 @@ def cos_CD(model: ProductSpaceModel) -> float:
     return cos_two(model.pair).value
 
 
-def chain_residual_profile(subspaces, k_values) -> dict[int, np.ndarray]:
+def chain_residual_profile(subspaces, k_values) -> np.ndarray:
     """Adjacent chain residuals for several exponents at once.
 
-    Returns {k: residuals} where residuals are the five absolute adjacent
-    differences of the chain members at exponent k.  The two direct power
-    norms come from one walk of matrix powers up to the largest k
-    (:func:`methods.power_sweep`); everything else about each chain
-    member remains an independent code path (direct power norm, single-step
-    norm to the k, Friedrichs-formula rate, product-space angle, and the
-    two product-operator analogues).  ``subspaces`` may be a model from
+    Row j holds the five absolute adjacent differences of the chain
+    members at the j-th exponent of ``k_values``: shape (5,) for one
+    integer k, (len(k_values), 5) for a list, rows in its order.  The two
+    direct power norms come from one walk of matrix powers up to the
+    largest k (:func:`methods.power_sweep`); everything else about each
+    chain member remains an independent code path (direct power norm,
+    single-step norm to the k, Friedrichs-formula rate, product-space
+    angle, and the two product-operator analogues, which alone form the
+    dense n*r x n*r projectors).  ``subspaces`` may be a model from
     :func:`build_product`; otherwise degeneracy is decided before the
     product space is built.  ``k_values`` is one integer >= 1 or a
     nonempty 1-d collection of them (:func:`methods.exponents`).
@@ -150,59 +158,41 @@ def chain_residual_profile(subspaces, k_values) -> dict[int, np.ndarray]:
     def direct_norms(Tk, Tpk):
         return symmetric_norm(Tk - P_M), symmetric_norm(Tpk - P_CD)
 
-    return {
-        k: np.abs(np.diff([norm, one_step**k, q**k, c_prod ** (2 * k), prod_one_step**k, prod]))
-        for k, (norm, prod) in power_sweep(ks, direct_norms, T, T_prod).items()
-    }
-
-
-def verify_norm_chain(subspaces, k: int) -> np.ndarray:
-    """Five adjacent residuals of the six-member norm chain at exponent k.
-
-    Each member is computed independently (see module docstring for the
-    chain); the caller asserts each residual is at most 1e-8.  Raises
-    DegenerateError when every subspace equals the intersection, in which
-    case all six members are zero and the chain holds trivially.
-    """
-    return chain_residual_profile(subspaces, [k])[k]
+    norms = power_sweep(ks, direct_norms, T, T_prod)
+    rows = []
+    for k in ks.reshape(-1).tolist():
+        norm, prod = norms[k]
+        rows.append(np.abs(np.diff([norm, one_step**k, q**k, c_prod ** (2 * k), prod_one_step**k, prod])))
+    return np.array(rows).reshape(ks.shape + (5,))
 
 
 def pierra_lift_residual(subspaces, starts, k_values) -> float:
     """Largest lift-consistency residual over the given starts and steps.
 
     For each start x and step count k, compares (P_D P_C)^k applied to the
-    lifted start against the lift of T^k(x), plus the projector onto
-    C intersect D against the lift of P_M(x).  Projectors are assembled
-    once and shared across the grid.  ``subspaces`` may be a model from
-    :func:`build_product`.  ``k_values`` is one integer >= 0 or a nonempty
-    1-d collection of them (:func:`methods.exponents`); ``starts`` must not
-    be empty, since a residual over no starts would check nothing.
+    lifted start against the lift of T^k(x), plus the projection of the
+    lifted start onto C intersect D against the lift of P_M(x).  Each side
+    is applied through subspace bases, never as an n*r x n*r matrix; one
+    walk per start goes to the largest k.  ``subspaces`` may be a model
+    from :func:`build_product`.  ``k_values`` is one integer >= 0 or a
+    nonempty 1-d collection of them (:func:`methods.exponents`); ``starts``
+    must not be empty, since a residual over no starts would check nothing.
     """
-    ks = sorted(set(exponents(k_values, 0).flat))
+    ks = exponents(k_values, 0).reshape(-1)
     starts = list(starts)
     if not starts:
         raise InputError("pierra_lift_residual needs at least one start")
     model = subspaces if isinstance(subspaces, ProductSpaceModel) else build_product(subspaces)
-    P_C = model.C.projector()
-    P_D = model.D.projector()
-    P_CD = model.pair.intersection.projector()
-    T = model.family.averaged_projector
-    P_M = model.family.intersection.projector()
+    fam = model.family
+    T = fam.averaged_projector
     worst = 0.0
     for x in starts:
-        v = as_vector(x, "start", model.base_dim)
+        v = as_vector(x, "start", fam.ambient_dim)
         lifted = lift_diag(model, v)
-        anchor = np.linalg.norm(P_CD @ lifted - lift_diag(model, P_M @ v))
-        y = lifted
-        t = v
-        step = 0
-        for k in ks:
-            while step < k:
-                y = P_D @ (P_C @ y)
-                t = T @ t
-                step += 1
-            drift = np.linalg.norm(y - lift_diag(model, t))
-            worst = max(worst, drift + anchor)
+        anchor = np.linalg.norm(model.limit(lifted) - lift_diag(model, fam.intersection.project(v)))
+        walks = islice(zip(orbit(model.step, lifted), orbit(lambda t: T @ t, v)), int(ks.max()) + 1)
+        drift = [np.linalg.norm(y - lift_diag(model, t)) for y, t in walks]
+        worst = max(worst, max(drift[k] for k in ks.tolist()) + anchor)
     return worst
 
 
@@ -210,23 +200,11 @@ def product_alternating_traces(model: ProductSpaceModel, starts, k_max) -> list[
     """The lifted iteration y <- P_D P_C y of :func:`pierra_lift_residual`
     from each start, against P_CD lift(x0), with bounds cos(C, D)^(2k)
     ||lift(x0)||."""
-    P_C = model.C.projector()
-    P_D = model.D.projector()
-    P_CD = model.pair.intersection.projector()
     c_prod = cos_CD(model)
     traces = []
     for x0 in starts:
         lifted = lift_diag(model, x0)
-        errors = error_profile(lifted, P_CD @ lifted, lambda y: P_D @ (P_C @ y), k_max)
+        errors = error_profile(lifted, model.limit(lifted), model.step, k_max)
         bounds = c_prod ** (2 * np.arange(k_max + 1)) * np.linalg.norm(lifted)
         traces.append(IterationTrace(start=x0, errors=errors, bounds=bounds))
     return traces
-
-
-def verify_pierra_lift(subspaces, x, k: int) -> float:
-    """Lift-consistency residual for one start and one step count.
-
-    Returns || (P_D P_C)^k lift(x) - lift(T^k x) ||
-          + || P_CD lift(x) - lift(P_M x) ||; the caller asserts <= 1e-9.
-    """
-    return pierra_lift_residual(subspaces, [x], [k])

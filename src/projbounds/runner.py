@@ -31,7 +31,7 @@ from .errors import DegenerateError, InfeasibleError, InputError
 from .methods import IterationTrace, cyclic_operator, iterate, simultaneous_operator
 from .numlin import RANK_ABSOLUTE_FLOOR, RANK_RELATIVE_EPS
 from .productspace import product_alternating_traces
-from .scenario import METHODS, Scenario, validate_scenario
+from .scenario import METHODS, Scenario, check_seed, validate_scenario
 from .subspaces import Family, Subspace
 
 __all__ = [
@@ -312,6 +312,7 @@ def verify_battery(seed: int, count: int = 100, kmax_cap: int = 10) -> dict:
     all randomness descends from ``seed`` through spawned seed sequences, so
     repeated runs produce identical documents.
     """
+    check_seed(seed)
     if count < 1:
         raise InputError("count must be at least 1")
     if kmax_cap < 1:

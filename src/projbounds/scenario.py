@@ -74,6 +74,7 @@ __all__ = [
     "METHODS",
     "SubspaceSpec",
     "Scenario",
+    "check_seed",
     "parse_scenario",
     "format_scenario",
     "generate_two_subspace",
@@ -166,8 +167,15 @@ def _parse_row(line: str, lineno: int) -> list[float]:
     return row
 
 
+def check_seed(seed: int) -> None:
+    """InputError unless ``seed`` is nonnegative, as numpy's seeding requires."""
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
+
+
 def validate_scenario(s: Scenario) -> None:
     """Check every scenario invariant; InputError names the failing field."""
+    check_seed(s.seed)
     if s.ambient_dim < 1:
         _fail(None, "ambient_dim must be at least 1")
     if s.mode not in MODES:
@@ -371,6 +379,7 @@ def generate_two_subspace(
     """
     if not 0.0 < theta_deg <= 90.0:
         raise InputError(f"theta_deg must lie in (0, 90], got {theta_deg}")
+    check_seed(seed)
     n, s = int(ambient_dim), int(shared_dim)
     if s < 0:
         raise InputError("shared_dim must be nonnegative")
@@ -402,6 +411,7 @@ def generate_random(
     """
     if r < 2:
         raise InputError(f"r must be at least 2, got {r}")
+    check_seed(seed)
     dims = [int(d) for d in dims]
     if len(dims) != r:
         raise InputError(f"expected {r} dimensions, got {len(dims)}")

@@ -47,6 +47,15 @@ class TestGenerate:
         assert result.returncode == 2
         assert "error:" in result.stderr
 
+    @pytest.mark.parametrize("kind", [
+        ("random", "--r", "2", "--dim", "4", "--dims", "2,2"),
+        ("two-subspace", "--theta", "60", "--dim", "4"),
+    ])
+    def test_negative_seed_exits_2(self, kind):
+        result = run_cli("generate", *kind, "--seed", "-2")
+        assert result.returncode == 2
+        assert "seed" in result.stderr and "Traceback" not in result.stderr
+
     def test_non_integer_dims_exit_2(self):
         result = run_cli("generate", "random", "--r", "2", "--dim", "4", "--dims", "2,x")
         assert result.returncode == 2
@@ -76,6 +85,11 @@ class TestRun:
                          "--kmax", "3", "--format", "csv")
         rows = result.stdout.strip().splitlines()[1:]
         assert len(rows) == 2 * 4
+
+    def test_negative_seed_exits_2(self, scenario_file):
+        result = run_cli("run", "--scenario", str(scenario_file), "--seed", "-1")
+        assert result.returncode == 2
+        assert "seed" in result.stderr and "Traceback" not in result.stderr
 
     def test_parse_error_exits_2(self, tmp_path):
         bad = tmp_path / "bad.scenario"
@@ -137,6 +151,11 @@ class TestVerify:
         result = run_cli("verify", "--count", "2", "--kmax", kmax)
         assert result.returncode == 2
         assert "error:" in result.stderr and "Traceback" not in result.stderr
+
+    def test_battery_negative_seed_exits_2(self):
+        result = run_cli("verify", "--count", "2", "--seed", "-1")
+        assert result.returncode == 2
+        assert "seed" in result.stderr and "Traceback" not in result.stderr
 
     def test_battery_document_shape(self):
         result = run_cli("verify", "--count", "3", "--seed", "8")

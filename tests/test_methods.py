@@ -5,7 +5,6 @@ from projbounds import (
     InputError,
     IterOperator,
     Subspace,
-    compare_methods,
     cos_two,
     cyclic_bound,
     cyclic_operator,
@@ -296,10 +295,13 @@ class TestVerifyErrorIdentity:
 class TestCompareMethods:
     def test_fixture_values(self):
         M1, M2 = lines_exact_60()
-        assert compare_methods(M1, M2, 2) == pytest.approx((0.125, 0.5625), abs=1e-12)
-        assert compare_methods(M1, M2, 1) == pytest.approx((0.5, 0.75), abs=1e-12)
+        assert (kw_bound([M1, M2], 2), optimal_bound_simultaneous([M1, M2], 2)) == pytest.approx(
+            (0.125, 0.5625), abs=1e-12)
+        assert (kw_bound([M1, M2], 1), optimal_bound_simultaneous([M1, M2], 1)) == pytest.approx(
+            (0.5, 0.75), abs=1e-12)
         A1, A2 = orthogonal_axes()
-        assert compare_methods(A1, A2, 2) == pytest.approx((0.0, 0.25), abs=1e-12)
+        assert (kw_bound([A1, A2], 2), optimal_bound_simultaneous([A1, A2], 2)) == pytest.approx(
+            (0.0, 0.25), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_ordering_random(self, seed):
@@ -308,7 +310,7 @@ class TestCompareMethods:
         M1, M2 = random_family(rng, 2, n)
         c = cos_two(M1, M2).value
         for k in (1, 2, 5, 9):
-            first, second = compare_methods(M1, M2, k)
+            first, second = kw_bound([M1, M2], k), optimal_bound_simultaneous([M1, M2], k)
             assert first <= second + 1e-12
             if c <= 1.0 - 1e-6:
                 assert second - first >= 1e-12

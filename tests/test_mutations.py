@@ -1,0 +1,107 @@
+"""Mutation gate for the product-space paths (DeMillo, Lipton & Sayward,
+"Hints on test data selection", Computer 11(4), 1978).
+
+Each row of ``FAULTS`` plants one small fault with ``monkeypatch`` and
+names the checks that must fail on one fixed family because of it; every
+other check must still pass.  The unmutated code passes them all.  The
+family has a one-dimensional common part, so C intersect D is not {0},
+and the scenario iterates in the product space, so ``bounds`` reads the
+lifted traces.
+"""
+
+import numpy as np
+import pytest
+
+from projbounds import checks, productspace
+from projbounds.productspace import ProductSpaceModel, lift_diag
+from projbounds.runner import run_scenario
+from projbounds.scenario import Scenario
+from projbounds.subspaces import Family, Subspace
+
+N = 6
+
+
+def scenario():
+    rng = np.random.default_rng(2024)
+    common = rng.standard_normal((N, 1))
+    spans = [np.hstack([common, rng.standard_normal((N, d))]) for d in (2, 3, 2)]
+    return Scenario.generated("mutation-gate", N, spans, 7, 8, "product_alternating")
+
+
+def failed_checks():
+    report = run_scenario(scenario())
+    assert report.error is None
+    return {c.name for c in report.check_outcomes if not c.passed}
+
+
+def patch_product(monkeypatch, change):
+    """Every check and trace of a run reads the model that ``change`` makes
+    of the real one."""
+    real = checks.build_product
+    monkeypatch.setattr(checks, "build_product", lambda fam: change(real(fam)))
+
+
+def drop_last_block(monkeypatch):
+    def change(model):
+        C = Subspace(model.C.basis[:, : -model.family.members[-1].dim])
+        return ProductSpaceModel(C, model.D, model.family, Family((C, model.D)))
+
+    patch_product(monkeypatch, change)
+
+
+def step_without_D(monkeypatch):
+    monkeypatch.setattr(ProductSpaceModel, "step", lambda model, y: model.C.project(y))
+
+
+def trivial_CD(monkeypatch):
+    def change(model):
+        wrong = Subspace.trivial(model.C.ambient_dim)
+        monkeypatch.setitem(model.pair.__dict__, "intersection", wrong)
+        return model
+
+    patch_product(monkeypatch, change)
+
+
+def anchor_from_base(monkeypatch):
+    # P_CD lift(x) equals lift(P_M x) (Pierra's lemma), so this swap alone
+    # changes no residual beyond rounding.  It is planted where C
+    # intersect D is wrong: the real anchor fails pierra_lift there
+    # (row "C intersect D taken as {0}"), the swapped one cannot.
+    trivial_CD(monkeypatch)
+
+    def limit(model, y):
+        return lift_diag(model, model.family.intersection.project(y[:N]))
+
+    monkeypatch.setattr(ProductSpaceModel, "limit", limit)
+
+
+def base_one_step_ahead(monkeypatch):
+    real = productspace.orbit
+
+    def orbit(step, x):
+        walk = real(step, x)
+        if x.shape[0] == N:  # the base side; the lifted side lives in R^(N*r)
+            next(walk)
+        return walk
+
+    monkeypatch.setattr(productspace, "orbit", orbit)
+
+
+FAULTS = {
+    "C without its last member's block": (drop_last_block, {"norm_chain", "pierra_lift"}),
+    "lifted step applies P_C only": (step_without_D, {"pierra_lift", "bounds"}),
+    "C intersect D taken as {0}": (trivial_CD, {"norm_chain", "pierra_lift"}),
+    "anchor reads lift(P_M x) for P_CD lift(x)": (anchor_from_base, {"norm_chain"}),
+    "base side of Pierra one exponent ahead": (base_one_step_ahead, {"pierra_lift"}),
+}
+
+
+def test_unmutated_code_passes_every_check():
+    assert failed_checks() == set()
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_fault_fails_exactly_its_checks(monkeypatch, fault):
+    plant, expected = FAULTS[fault]
+    plant(monkeypatch)
+    assert failed_checks() == expected

@@ -8,16 +8,16 @@ from projbounds import (
     InputError,
     Subspace,
     build_product,
+    chain_residual_profile,
     cos_CD,
     friedrichs_gram,
     intersection,
     lift_diag,
+    pierra_lift_residual,
     simultaneous_operator,
     spectral_norm,
-    verify_norm_chain,
-    verify_pierra_lift,
 )
-from projbounds.productspace import chain_residual_profile, pierra_lift_residual
+from projbounds.productspace import product_alternating_traces
 from helpers import lines_exact_60, orthogonal_axes, random_family, triple_at_120
 
 
@@ -118,7 +118,7 @@ class TestCosCD:
 
 class TestNormChain:
     def test_lines_at_60_k2(self):
-        residuals = verify_norm_chain(lines_exact_60(), 2)
+        residuals = chain_residual_profile(lines_exact_60(), 2)
         assert residuals.shape == (5,)
         assert residuals.max() <= 1e-10
         # all six members equal 0.75^2
@@ -127,14 +127,14 @@ class TestNormChain:
         assert value == pytest.approx(0.5625, abs=1e-12)
 
     def test_triple_at_120_k3(self):
-        residuals = verify_norm_chain(triple_at_120(), 3)
+        residuals = chain_residual_profile(triple_at_120(), 3)
         assert residuals.max() <= 1e-10
         T = simultaneous_operator(triple_at_120())
         value = spectral_norm(np.linalg.matrix_power(T.matrix, 3) - T.limit_projector)
         assert value == pytest.approx(0.125, abs=1e-12)
 
     def test_orthogonal_axes_k1(self):
-        residuals = verify_norm_chain(orthogonal_axes(), 1)
+        residuals = chain_residual_profile(orthogonal_axes(), 1)
         assert residuals.max() <= 1e-12
         T = simultaneous_operator(orthogonal_axes())
         assert spectral_norm(T.matrix - T.limit_projector) == pytest.approx(
@@ -144,11 +144,11 @@ class TestNormChain:
     def test_degenerate_family_raises(self):
         S = Subspace.from_spanning(np.array([[1.0], [0.0]]))
         with pytest.raises(DegenerateError):
-            verify_norm_chain([S, S], 2)
+            chain_residual_profile([S, S], 2)
 
     def test_rejects_k_zero(self):
         with pytest.raises(InputError):
-            verify_norm_chain(lines_exact_60(), 0)
+            chain_residual_profile(lines_exact_60(), 0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_chain_random(self, seed):
@@ -158,17 +158,17 @@ class TestNormChain:
         if friedrichs_gram(subs).degenerate:
             return
         profile = chain_residual_profile(subs, range(1, 11))
-        for k, residuals in profile.items():
+        for k, residuals in zip(range(1, 11), profile):
             assert residuals.max() <= 1e-8, f"k={k}"
 
 
 class TestPierraLift:
     def test_k0_first_term_exact(self):
-        res = verify_pierra_lift(lines_exact_60(), np.array([0.3, -0.7]), 0)
+        res = pierra_lift_residual(lines_exact_60(), [np.array([0.3, -0.7])], 0)
         assert res <= 1e-12
 
     def test_lines_at_60_k3(self):
-        res = verify_pierra_lift(lines_exact_60(), np.array([1.0, 0.0]), 3)
+        res = pierra_lift_residual(lines_exact_60(), [np.array([1.0, 0.0])], 3)
         assert res <= 1e-10
 
     def test_fixed_point(self):
@@ -176,11 +176,11 @@ class TestPierraLift:
         B = Subspace.from_spanning(np.eye(3)[:, 1:])
         x = np.array([0.0, 3.0, 0.0])  # in the intersection
         for k in (0, 1, 4):
-            assert verify_pierra_lift([A, B], x, k) <= 1e-10
+            assert pierra_lift_residual([A, B], [x], k) <= 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            verify_pierra_lift(lines_exact_60(), np.zeros(3), 1)
+            pierra_lift_residual(lines_exact_60(), [np.zeros(3)], 1)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_lift_random(self, seed):
@@ -190,7 +190,7 @@ class TestPierraLift:
         subs = random_family(rng, r, n)
         x = rng.standard_normal(n)
         k = int(rng.integers(0, 11))
-        assert verify_pierra_lift(subs, x, k) <= 1e-9
+        assert pierra_lift_residual(subs, [x], k) <= 1e-9
 
 
 class TestExponentLists:
@@ -208,9 +208,16 @@ class TestExponentLists:
         with pytest.raises(InputError, match="start"):
             pierra_lift_residual(lines_exact_60(), [], [0, 1, 2])
 
+    def test_chain_rows_follow_the_exponents(self):
+        subs = triple_at_120()
+        profile = chain_residual_profile(subs, [3, 1, 3])
+        assert profile.shape == (3, 5)
+        for row, k in zip(profile, [3, 1, 3]):
+            assert np.array_equal(row, chain_residual_profile(subs, k))
+
     def test_numpy_integers_accepted(self):
         subs = lines_exact_60()
-        assert sorted(chain_residual_profile(subs, np.arange(1, 4))) == [1, 2, 3]
+        assert chain_residual_profile(subs, np.arange(1, 4)).shape == (3, 5)
         assert pierra_lift_residual(subs, [np.array([1.0, 0.0])], np.arange(4)) <= 1e-10
 
 
@@ -223,7 +230,7 @@ class TestProductOperatorOnDiagonal:
         P_C = model.C.projector()
         P_D = model.D.projector()
         T = simultaneous_operator(subs)
-        x = rng.standard_normal(model.base_dim)
+        x = rng.standard_normal(model.family.ambient_dim)
         lhs = P_D @ P_C @ P_D @ lift_diag(model, x)
         rhs = lift_diag(model, T.matrix @ x)
         assert np.linalg.norm(lhs - rhs) <= 1e-10
@@ -254,13 +261,33 @@ class TestProductOperatorOnDiagonal:
         assert cos_CD(model) < 1.0
 
 
+def test_lifted_paths_form_no_product_projector(monkeypatch):
+    # Only the norm chain may form an nr x nr projector; the Pierra check
+    # and the product-space traces apply P_C, P_D and P_CD through bases.
+    rng = np.random.default_rng(1)
+    model = build_product(random_family(rng, 3, 8, [3, 5, 4]))
+    ambient = []
+    real = Subspace.projector
+
+    def projector(self):
+        ambient.append(self.ambient_dim)
+        return real(self)
+
+    monkeypatch.setattr(Subspace, "projector", projector)
+    starts = [rng.standard_normal(8) for _ in range(2)]
+    assert pierra_lift_residual(model, starts, range(6)) <= 1e-10
+    traces = product_alternating_traces(model, starts, 5)
+    assert max(t.max_violation() for t in traces) <= 1e-10
+    assert ambient and model.C.ambient_dim not in ambient
+
+
 def test_chain_profile_peak_memory():
     # The chain walks powers of T and of T_prod = P_D P_C P_D; advancing
     # the two walks together would keep one more nr x nr matrix alive.
     rng = np.random.default_rng(0)
     model = build_product(random_family(rng, 4, 150, [50] * 4))
     cos_CD(model)  # C intersect D is cached on the model, outside the count
-    nr = model.base_dim * model.factor_count
+    nr = model.C.ambient_dim
     tracemalloc.start()
     try:
         chain_residual_profile(model, range(1, 17))

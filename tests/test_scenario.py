@@ -81,6 +81,10 @@ class TestParse:
         with pytest.raises(InputError, match="k_max"):
             parse_scenario(MINIMAL + "k_max: 0\n")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="seed"):
+            parse_scenario(MINIMAL + "seed: -1\n")
+
     def test_row_length_mismatch(self):
         with pytest.raises(InputError, match="length"):
             parse_scenario(MINIMAL.replace("1 0", "1 0 0"))
