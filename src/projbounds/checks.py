@@ -57,7 +57,7 @@ class CheckInputs:
 
 def _norm_chain(run: CheckInputs) -> tuple[float, str]:
     # A degenerate family makes the chain raise before any product space
-    # is built, which matters when n*r exceeds the dense cap.
+    # is built.
     try:
         profile = chain_residual_profile(
             run.family if run.gram.degenerate else run.product, range(1, run.k_max + 1)

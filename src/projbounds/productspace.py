@@ -14,6 +14,9 @@ central identity checked here is the five-link chain
                      =  || (P_D P_C P_D)^k - P_CD ||,
 
 with T the averaged projector and P_CD the projector onto C intersect D.
+P_C, P_D and P_CD act through the bases of C, D and C intersect D, never
+as n*r x n*r matrices; the two product-operator members are norms of
+n*r x n blocks (see :func:`chain_residual_profile`).
 
 On the inner product: the product space is often equipped with the
 averaged form <x, y> = (1/r) sum_i <x_i, y_i>.  That is a uniform positive
@@ -39,12 +42,11 @@ import numpy as np
 from .angles import cos_two, friedrichs_gram, optimal_rate
 from .errors import DegenerateError, InputError
 from .methods import IterationTrace, error_profile, exponents, orbit, power_sweep
-from .numlin import as_vector, symmetric_norm
+from .numlin import as_vector, spectral_norm, symmetric_norm
 from .subspaces import Family, Subspace
 
 __all__ = [
     "ProductSpaceModel",
-    "MAX_PRODUCT_DIM",
     "build_product",
     "lift_diag",
     "cos_CD",
@@ -52,10 +54,6 @@ __all__ = [
     "pierra_lift_residual",
     "product_alternating_traces",
 ]
-
-# Dense n*r x n*r matrices beyond this size are out of scope.
-MAX_PRODUCT_DIM = 2000
-
 
 @dataclass(frozen=True, eq=False)
 class ProductSpaceModel:
@@ -86,10 +84,6 @@ def build_product(subspaces) -> ProductSpaceModel:
     """
     fam = Family.of(subspaces, 2)
     n, r = fam.ambient_dim, len(fam)
-    if n * r > MAX_PRODUCT_DIM:
-        raise InputError(
-            f"product dimension {n * r} exceeds the dense cap {MAX_PRODUCT_DIM}"
-        )
     total_cols = sum(S.dim for S in fam)
     C_basis = np.zeros((n * r, total_cols))
     col = 0
@@ -122,16 +116,19 @@ def chain_residual_profile(subspaces, k_values) -> np.ndarray:
 
     Row j holds the five absolute adjacent differences of the chain
     members at the j-th exponent of ``k_values``: shape (5,) for one
-    integer k, (len(k_values), 5) for a list, rows in its order.  The two
-    direct power norms come from one walk of matrix powers up to the
-    largest k (:func:`methods.power_sweep`); everything else about each
-    chain member remains an independent code path (direct power norm,
-    single-step norm to the k, Friedrichs-formula rate, product-space
-    angle, and the two product-operator analogues, which alone form the
-    dense n*r x n*r projectors).  ``subspaces`` may be a model from
-    :func:`build_product`; otherwise degeneracy is decided before the
-    product space is built.  ``k_values`` is one integer >= 1 or a
-    nonempty 1-d collection of them (:func:`methods.exponents`).
+    integer k, (len(k_values), 5) for a list, rows in its order.  Each
+    member is its own code path: the direct power norm (one walk of
+    powers of T, :func:`methods.power_sweep`), the single-step norm to the
+    k, the Friedrichs-formula rate, the product-space angle, and the two
+    product-operator members, which come from one walk of D's basis Q_D
+    through the lifted step.  A_k = (P_D P_C P_D)^k - P_CD begins and ends
+    with P_D, and C intersect D lies in D, so ||A_k|| = ||A_k Q_D||, the
+    largest singular value of the n*r x n block (P_D P_C)^k Q_D - P_CD Q_D
+    (the walk starts in D, where P_D P_C is the sandwiched operator); the
+    fifth member is the k = 1 value to the k.  ``subspaces`` may be a
+    model from :func:`build_product`; otherwise degeneracy is decided
+    before the product space is built.  ``k_values`` is one integer >= 1
+    or a nonempty 1-d collection of them (:func:`methods.exponents`).
     """
     ks = exponents(k_values)
     model = subspaces if isinstance(subspaces, ProductSpaceModel) else None
@@ -143,26 +140,21 @@ def chain_residual_profile(subspaces, k_values) -> np.ndarray:
             "are identically zero and the chain holds trivially"
         )
     T = fam.averaged_projector
-    P_M = fam.intersection.projector()
+    P_M = fam.intersection.project(np.eye(fam.ambient_dim))
     one_step = symmetric_norm(T - P_M)
     q = optimal_rate(fr, len(fam))
     model = model or build_product(fam)
     c_prod = cos_CD(model)
-    P_C = model.C.projector()
-    P_D = model.D.projector()
-    P_CD = model.pair.intersection.projector()
-    T_prod = P_D @ P_C @ P_D
-    del P_C, P_D  # two dense nr x nr matrices the power loop does not need
-    prod_one_step = symmetric_norm(T_prod - P_CD)
-
-    def direct_norms(Tk, Tpk):
-        return symmetric_norm(Tk - P_M), symmetric_norm(Tpk - P_CD)
-
-    norms = power_sweep(ks, direct_norms, T, T_prod)
-    rows = []
-    for k in ks.reshape(-1).tolist():
-        norm, prod = norms[k]
-        rows.append(np.abs(np.diff([norm, one_step**k, q**k, c_prod ** (2 * k), prod_one_step**k, prod])))
+    norms = power_sweep(ks, lambda Tk: symmetric_norm(Tk - P_M), T)
+    Q_D = model.D.basis
+    anchor = model.limit(Q_D)
+    wanted = set(ks.flat) | {1}
+    walk = islice(orbit(model.step, Q_D), 1, int(ks.max()) + 1)
+    prod = {k: spectral_norm(Z - anchor) for k, Z in enumerate(walk, 1) if k in wanted}
+    rows = [
+        np.abs(np.diff([norms[k], one_step**k, q**k, c_prod ** (2 * k), prod[1] ** k, prod[k]]))
+        for k in ks.reshape(-1).tolist()
+    ]
     return np.array(rows).reshape(ks.shape + (5,))
 
 

@@ -87,8 +87,12 @@ class Subspace:
         return (P + P.T) / 2.0
 
     def project(self, x) -> np.ndarray:
-        """Nearest point of the subspace to ``x``."""
-        v = as_vector(x, "vector", self.ambient_dim)
+        """Nearest point of the subspace to ``x``, or to each column of an
+        (ambient x m) block ``x``."""
+        if np.ndim(x) != 2:
+            v = as_vector(x, "vector", self.ambient_dim)
+        elif (v := as_matrix(x, "block")).shape[0] != self.ambient_dim:
+            raise InputError(f"block has {v.shape[0]} rows, expected {self.ambient_dim}")
         return self.basis @ (self.basis.T @ v)
 
     def orth_complement(self) -> "Subspace":

@@ -4,15 +4,21 @@ import numpy as np
 
 from projbounds import (
     Subspace,
+    build_product,
+    cos_CD,
     cyclic_bound,
     cyclic_operator,
     error_operator_norm,
+    friedrichs_gram,
     kw_bound,
     null_space,
     optimal_bound_simultaneous,
     simultaneous_operator,
+    symmetric_norm,
     verify_error_identity,
 )
+from projbounds.angles import optimal_rate
+from projbounds.methods import exponents, power_sweep
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -87,6 +93,34 @@ def stacked_intersection(subspaces) -> Subspace:
         return subs[0]
     eye = np.eye(subs[0].ambient_dim)
     return Subspace(null_space(np.vstack([eye - S.projector() for S in subs])))
+
+
+def dense_chain_residual_profile(subspaces, k_values) -> np.ndarray:
+    """Test-only oracle: the chain residuals with members 5 and 6 taken
+    from the dense n*r x n*r matrices P_C, P_D, P_CD and P_D P_C P_D."""
+    ks = exponents(k_values)
+    model = build_product(subspaces)
+    fam = model.family
+    fr = friedrichs_gram(fam)
+    T = fam.averaged_projector
+    P_M = fam.intersection.projector()
+    one_step = symmetric_norm(T - P_M)
+    q = optimal_rate(fr, len(fam))
+    c_prod = cos_CD(model)
+    P_CD = model.pair.intersection.projector()
+    T_prod = model.D.projector() @ model.C.projector() @ model.D.projector()
+    prod_one_step = symmetric_norm(T_prod - P_CD)
+
+    def direct_norms(Tk, Tpk):
+        return symmetric_norm(Tk - P_M), symmetric_norm(Tpk - P_CD)
+
+    norms = power_sweep(ks, direct_norms, T, T_prod)
+    rows = []
+    for k in ks.reshape(-1).tolist():
+        norm, prod = norms[k]
+        members = [norm, one_step**k, q**k, c_prod ** (2 * k), prod_one_step**k, prod]
+        rows.append(np.abs(np.diff(members)))
+    return np.array(rows).reshape(ks.shape + (5,))
 
 
 def perturbed_family(

@@ -3,10 +3,11 @@
 
 Each row of ``FAULTS`` plants one small fault with ``monkeypatch`` and
 names the checks that must fail on one fixed family because of it; every
-other check must still pass.  The unmutated code passes them all.  The
-family has a one-dimensional common part, so C intersect D is not {0},
-and the scenario iterates in the product space, so ``bounds`` reads the
-lifted traces.
+other check must still pass.  The unmutated code passes them all.  Each
+independent path of the norm chain has its own row, so no member can
+turn into a copy of another unnoticed.  The family has a one-dimensional
+common part, so C intersect D is not {0}, and the scenario iterates in
+the product space, so ``bounds`` reads the lifted traces.
 """
 
 import numpy as np
@@ -70,29 +71,55 @@ def anchor_from_base(monkeypatch):
     trivial_CD(monkeypatch)
 
     def limit(model, y):
-        return lift_diag(model, model.family.intersection.project(y[:N]))
+        base = model.family.intersection.project(y[:N])
+        if base.ndim == 1:
+            return lift_diag(model, base)
+        return np.column_stack([lift_diag(model, column) for column in base.T])
 
     monkeypatch.setattr(ProductSpaceModel, "limit", limit)
 
 
-def base_one_step_ahead(monkeypatch):
+def walk_one_step_ahead(monkeypatch, ahead):
+    """Every walk of ``productspace.orbit`` whose start x has ``ahead(x)``
+    skips its first iterate."""
     real = productspace.orbit
 
     def orbit(step, x):
         walk = real(step, x)
-        if x.shape[0] == N:  # the base side; the lifted side lives in R^(N*r)
+        if ahead(x):
             next(walk)
         return walk
 
     monkeypatch.setattr(productspace, "orbit", orbit)
 
 
+def scaled(monkeypatch, name):
+    """``productspace.<name>`` returns its value times 1 + 1e-6."""
+    real = getattr(productspace, name)
+    monkeypatch.setattr(productspace, name, lambda *args: real(*args) * (1 + 1e-6))
+
+
 FAULTS = {
     "C without its last member's block": (drop_last_block, {"norm_chain", "pierra_lift"}),
-    "lifted step applies P_C only": (step_without_D, {"pierra_lift", "bounds"}),
+    "lifted step applies P_C only": (step_without_D, {"norm_chain", "pierra_lift", "bounds"}),
     "C intersect D taken as {0}": (trivial_CD, {"norm_chain", "pierra_lift"}),
     "anchor reads lift(P_M x) for P_CD lift(x)": (anchor_from_base, {"norm_chain"}),
-    "base side of Pierra one exponent ahead": (base_one_step_ahead, {"pierra_lift"}),
+    # Pierra's base side lives in R^N; its lifted side, in R^(N*r).
+    "base side of Pierra one exponent ahead": (
+        lambda mp: walk_one_step_ahead(mp, lambda x: x.shape[0] == N),
+        {"pierra_lift"},
+    ),
+    "chain members 1 and 2: symmetric norm scaled": (
+        lambda mp: scaled(mp, "symmetric_norm"),
+        {"norm_chain"},
+    ),
+    "chain member 3: optimal rate scaled": (lambda mp: scaled(mp, "optimal_rate"), {"norm_chain"}),
+    "chain member 4: cos(C, D) scaled": (lambda mp: scaled(mp, "cos_CD"), {"norm_chain"}),
+    # The chain walks D's basis, a block; Pierra's walks are of vectors.
+    "chain members 5 and 6: walk of D's basis one step ahead": (
+        lambda mp: walk_one_step_ahead(mp, lambda x: x.ndim == 2),
+        {"norm_chain"},
+    ),
 }
 
 

@@ -18,7 +18,13 @@ from projbounds import (
     spectral_norm,
 )
 from projbounds.productspace import product_alternating_traces
-from helpers import lines_exact_60, orthogonal_axes, random_family, triple_at_120
+from helpers import (
+    dense_chain_residual_profile,
+    lines_exact_60,
+    orthogonal_axes,
+    random_family,
+    triple_at_120,
+)
 
 
 class TestBuildProduct:
@@ -60,9 +66,12 @@ class TestBuildProduct:
         with pytest.raises(InputError):
             build_product([Subspace.full(2), Subspace.full(3)])
 
-    def test_rejects_oversized_product(self):
-        with pytest.raises(InputError):
-            build_product([Subspace.full(900), Subspace.full(900), Subspace.full(900)])
+    def test_runs_above_the_retired_dense_cap(self):
+        # no n*r x n*r matrix is formed, so no cap on n*r applies
+        rng = np.random.default_rng(8)
+        model = build_product(random_family(rng, 3, 700, [2, 2, 2]))
+        assert model.C.ambient_dim == 2100
+        assert chain_residual_profile(model, 1).max() <= 1e-8
 
 
 class TestLiftDiag:
@@ -160,6 +169,27 @@ class TestNormChain:
         profile = chain_residual_profile(subs, range(1, 11))
         for k, residuals in zip(range(1, 11), profile):
             assert residuals.max() <= 1e-8, f"k={k}"
+
+
+def shared_part_family(rng):
+    """2 to 5 random members of R^n, n in 4..15, all holding one common
+    random part of dimension 0 to 2."""
+    n = int(rng.integers(4, 16))
+    common = rng.standard_normal((n, int(rng.integers(0, 3))))
+    return [
+        Subspace.from_spanning(
+            np.hstack([common, rng.standard_normal((n, int(rng.integers(1, n - common.shape[1]))))])
+        )
+        for _ in range(int(rng.integers(2, 6)))
+    ]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_chain_matches_dense_oracle(seed):
+    subs = shared_part_family(np.random.default_rng(800 + seed))
+    ks = range(1, 13)
+    gap = chain_residual_profile(subs, ks) - dense_chain_residual_profile(subs, ks)
+    assert np.max(np.abs(gap)) <= 1e-12
 
 
 class TestPierraLift:
@@ -262,8 +292,8 @@ class TestProductOperatorOnDiagonal:
 
 
 def test_lifted_paths_form_no_product_projector(monkeypatch):
-    # Only the norm chain may form an nr x nr projector; the Pierra check
-    # and the product-space traces apply P_C, P_D and P_CD through bases.
+    # The norm chain, the Pierra check and the product-space traces apply
+    # P_C, P_D and P_CD through bases, never as nr x nr projectors.
     rng = np.random.default_rng(1)
     model = build_product(random_family(rng, 3, 8, [3, 5, 4]))
     ambient = []
@@ -278,20 +308,22 @@ def test_lifted_paths_form_no_product_projector(monkeypatch):
     assert pierra_lift_residual(model, starts, range(6)) <= 1e-10
     traces = product_alternating_traces(model, starts, 5)
     assert max(t.max_violation() for t in traces) <= 1e-10
+    assert chain_residual_profile(model, range(1, 6)).max() <= 1e-10
     assert ambient and model.C.ambient_dim not in ambient
 
 
 def test_chain_profile_peak_memory():
-    # The chain walks powers of T and of T_prod = P_D P_C P_D; advancing
-    # the two walks together would keep one more nr x nr matrix alive.
+    # The chain walks powers of the n x n T and one nr x n block, D's
+    # basis, through the lifted step, so its peak is a few nr x n blocks
+    # (5.1 measured); one nr x nr matrix would be r = 4 of them.
     rng = np.random.default_rng(0)
     model = build_product(random_family(rng, 4, 150, [50] * 4))
     cos_CD(model)  # C intersect D is cached on the model, outside the count
-    nr = model.C.ambient_dim
+    nr, n = model.C.ambient_dim, model.family.ambient_dim
     tracemalloc.start()
     try:
         chain_residual_profile(model, range(1, 17))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5.5 * nr * nr * 8
+    assert peak < 6 * nr * n * 8

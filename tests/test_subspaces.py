@@ -104,6 +104,18 @@ class TestProject:
         with pytest.raises(InputError):
             Subspace.full(2).project(np.array([1.0, 2.0, 3.0]))
 
+    def test_block_projects_each_column(self):
+        rng = np.random.default_rng(49)
+        S = random_subspace(rng, 7, 3)
+        X = rng.standard_normal((7, 4))
+        assert np.allclose(S.project(X), np.column_stack([S.project(x) for x in X.T]), atol=1e-14)
+        assert np.allclose(S.project(np.eye(7)), S.projector(), atol=1e-15)
+
+    @pytest.mark.parametrize("X", [np.zeros((3, 2)), np.full((2, 2), np.nan), np.zeros((2, 2, 1))])
+    def test_block_rejected(self, X):
+        with pytest.raises(InputError):
+            Subspace.full(2).project(X)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_idempotence_and_optimality_random(self, seed):
         rng = np.random.default_rng(50 + seed)
