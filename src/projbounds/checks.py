@@ -1,10 +1,10 @@
 """The checks a scenario can request, each described once, in ``CHECKS``.
 
-Each entry holds the check's key in ``runner.DEFAULT_TOLERANCES`` (read
-when the check runs), whether it needs exactly two subspaces, whether
-``analyze`` runs it, whether it needs at least one start (a residual over
-no starts would pass with nothing checked), and the function returning
-its residual and note.
+Each entry holds the check's tolerance (``runner.DEFAULT_TOLERANCES`` is
+built from them), whether it needs exactly two subspaces, whether it
+needs at least one start (a residual over no starts would pass with
+nothing checked; ``analyze`` runs the checks that need none), and the
+function returning its residual and note.
 Scenario validation, the generators, the battery, ``run_scenario`` and the
 command line all take their check lists from this table.
 """
@@ -20,6 +20,7 @@ import numpy as np
 from .angles import FriedrichsResult
 from .errors import DegenerateError, InputError
 from .methods import (
+    IterationTrace,
     cyclic_operator,
     error_operator_norm,
     kw_bound,
@@ -46,7 +47,7 @@ class CheckInputs:
     gram: FriedrichsResult
     k_max: int
     starts: list[np.ndarray]
-    traces: list = field(default_factory=list)
+    traces: list[IterationTrace] = field(default_factory=list)
     chain_residuals: list[float] | None = None
 
     @cached_property
@@ -95,25 +96,24 @@ def _compare(run: CheckInputs) -> tuple[float, str]:
 
 
 def _bounds(run: CheckInputs) -> tuple[float, str]:
-    violation = max((t.max_violation for t in run.traces), default=0.0)
+    violation = max((t.max_violation() for t in run.traces), default=0.0)
     return violation, f"max over {len(run.traces)} trace(s)"
 
 
 class Check(NamedTuple):
-    tolerance_key: str
+    tolerance: float
     pairs_only: bool
-    in_analyze: bool
     needs_start: bool
     fn: Callable[[CheckInputs], tuple[float, str]]
 
 
 CHECKS = {
-    "norm_chain": Check("norm_chain", False, True, False, _norm_chain),
-    "kw": Check("kw", True, True, False, _kw),
-    "lemma_identity": Check("lemma_identity", False, True, False, _lemma_identity),
-    "pierra_lift": Check("pierra_lift", False, False, True, _pierra_lift),
-    "compare": Check("compare", True, True, False, _compare),
-    "bounds": Check("bounds", False, False, True, _bounds),
+    "norm_chain": Check(1e-8, False, False, _norm_chain),
+    "kw": Check(1e-9, True, False, _kw),
+    "lemma_identity": Check(1e-9, False, False, _lemma_identity),
+    "pierra_lift": Check(1e-9, False, True, _pierra_lift),
+    "compare": Check(1e-12, True, False, _compare),
+    "bounds": Check(1e-10, False, True, _bounds),
 }
 
 

@@ -21,13 +21,7 @@ import sys
 
 from .checks import CHECKS, suite_checks
 from .errors import InputError, ProjBoundsError
-from .runner import (
-    emit_report,
-    render_battery,
-    render_report,
-    run_scenario,
-    verify_battery,
-)
+from .runner import render_battery, render_report, run_scenario, verify_battery
 from .scenario import (
     METHODS,
     format_scenario,
@@ -58,10 +52,7 @@ def _load_scenario(args):
 
 
 def _emit_and_score(report, args) -> int:
-    if args.out is None:
-        sys.stdout.write(render_report(report, args.format))
-    else:
-        emit_report(report, args.format, args.out)
+    _write(render_report(report, args.format), args.out)
     if report.error is not None:
         print(f"error: {report.error['message']}", file=sys.stderr)
         return 2
@@ -70,7 +61,7 @@ def _emit_and_score(report, args) -> int:
 
 def _cmd_analyze(args) -> int:
     scenario = _load_scenario(args)
-    checks = tuple(c for c in scenario.checks if CHECKS[c].in_analyze)
+    checks = tuple(c for c in scenario.checks if not CHECKS[c].needs_start)
     report = run_scenario(scenario, include_traces=False, checks_override=checks)
     return _emit_and_score(report, args)
 

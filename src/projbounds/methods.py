@@ -12,8 +12,10 @@ and subtracting would suffer), while :func:`verify_error_identity` checks
 the identity itself with both sides formed independently.
 
 Each function of the step count k takes one exponent (a float results) or
-a 1-d integer array of them (an array of its shape results): matrix powers
-come from one walk of :func:`powers`, rates are computed once and raised.
+a 1-d integer array of them (an array of its shape results).  Every walk to
+k is an :func:`orbit`, its k-th item the k-th iterate (:func:`powers` is the
+orbit of P -> P A), and :func:`sweep` reads walks at the wanted k; rates
+are computed once and raised.
 
 The optimal starting-point-independent rate of the simultaneous method is
 
@@ -27,7 +29,6 @@ one-sided product bound of :func:`cyclic_bound` is available.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -172,15 +173,21 @@ def orbit(step, x):
 
 def error_profile(x: np.ndarray, target: np.ndarray, step, k_max: int) -> np.ndarray:
     """||x_k - target|| for k = 0..k_max, where x_0 = x and x_k = step(x_(k-1))."""
-    return np.array([np.linalg.norm(y - target) for y in islice(orbit(step, x), k_max + 1)])
+    errors = sweep(range(k_max + 1), lambda y: np.linalg.norm(y - target), orbit(step, x))
+    return np.array(list(errors.values()))
+
+
+class _Identity:
+    """A^0 of a power walk: its product with A is A itself, no product taken."""
+
+    def __matmul__(self, A):
+        return A
 
 
 def powers(A: np.ndarray):
-    """A, A^2, A^3, ... without end, one matrix product per step."""
-    power = A
-    while True:
-        yield power
-        power = power @ A
+    """A^0, A, A^2, ... as the orbit of P -> P A: A^k = A^(k-1) @ A costs
+    k - 1 products, and A^0 is a stand-in only ``@ A`` may read."""
+    return orbit(lambda P: P @ A, _Identity())
 
 
 def exponents(k, least: int = 1) -> np.ndarray:
@@ -192,21 +199,19 @@ def exponents(k, least: int = 1) -> np.ndarray:
     return ks
 
 
-def power_sweep(ks: np.ndarray, value, *bases: np.ndarray) -> dict:
-    """{k: value(A^k, B^k, ...)} for each k of ``ks`` (see :func:`exponents`).
+def sweep(ks, value, *walks) -> dict:
+    """{k: value(x_k, y_k, ...)} for each distinct k of ``ks``, in increasing
+    k, where x_k, y_k, ... are the k-th items of ``walks`` (orbits).
 
-    One walk of :func:`powers` per base up to max(ks); ``value`` is called
-    only at the wanted k.  Each base advances in turn, so no more than one
-    superseded power is alive at a time.
+    The walks advance one after another, each to max(ks) and no further,
+    so no walk keeps more alive than its last item and the one being made;
+    ``value`` is called once per wanted k and at no other.
     """
-    wanted, out = set(ks.flat), {}
-    walks = [powers(A) for A in bases]
-    current = [None] * len(bases)
-    for k in range(1, int(ks.max()) + 1):
-        for i, walk in enumerate(walks):
-            current[i] = next(walk)
+    wanted, out = set(np.ravel(ks).tolist()), {}
+    for k in range(max(wanted) + 1):
+        items = [next(walk) for walk in walks]
         if k in wanted:
-            out[k] = value(*current)
+            out[k] = value(*items)
     return out
 
 
@@ -225,7 +230,7 @@ def error_operator_norm(T: IterOperator, k):
     T^k is already close to P_M; k = 0 is excluded by contract.
     """
     ks = exponents(k)
-    return _per_k(ks, power_sweep(ks, spectral_norm, T.matrix - T.limit_projector).get)
+    return _per_k(ks, sweep(ks, spectral_norm, powers(T.matrix - T.limit_projector)).get)
 
 
 def optimal_bound_simultaneous(subspaces, k):
@@ -277,5 +282,7 @@ def verify_error_identity(T: IterOperator, k):
     """
     ks = exponents(k)
     P = T.limit_projector
-    residuals = power_sweep(ks, lambda Tk, Ek: spectral_norm((Tk - P) - Ek), T.matrix, T.matrix - P)
+    residuals = sweep(
+        ks, lambda Tk, Ek: spectral_norm((Tk - P) - Ek), powers(T.matrix), powers(T.matrix - P)
+    )
     return _per_k(ks, residuals.get)

@@ -35,13 +35,12 @@ enters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .angles import cos_two, friedrichs_gram, optimal_rate
 from .errors import DegenerateError, InputError
-from .methods import IterationTrace, error_profile, exponents, orbit, power_sweep
+from .methods import IterationTrace, error_profile, exponents, orbit, powers, sweep
 from .numlin import as_vector, spectral_norm, symmetric_norm
 from .subspaces import Family, Subspace
 
@@ -117,15 +116,16 @@ def chain_residual_profile(subspaces, k_values) -> np.ndarray:
     Row j holds the five absolute adjacent differences of the chain
     members at the j-th exponent of ``k_values``: shape (5,) for one
     integer k, (len(k_values), 5) for a list, rows in its order.  Each
-    member is its own code path: the direct power norm (one walk of
-    powers of T, :func:`methods.power_sweep`), the single-step norm to the
-    k, the Friedrichs-formula rate, the product-space angle, and the two
-    product-operator members, which come from one walk of D's basis Q_D
-    through the lifted step.  A_k = (P_D P_C P_D)^k - P_CD begins and ends
-    with P_D, and C intersect D lies in D, so ||A_k|| = ||A_k Q_D||, the
-    largest singular value of the n*r x n block (P_D P_C)^k Q_D - P_CD Q_D
-    (the walk starts in D, where P_D P_C is the sandwiched operator); the
-    fifth member is the k = 1 value to the k.  ``subspaces`` may be a
+    member is its own code path: the direct power norm (the walk
+    :func:`methods.powers` of T, read by :func:`methods.sweep`), the
+    single-step norm to the k, the Friedrichs-formula rate, the
+    product-space angle, and the two product-operator members, which come
+    from one orbit of D's basis Q_D through the lifted step.
+    A_k = (P_D P_C P_D)^k - P_CD begins and ends with P_D, and C
+    intersect D lies in D, so ||A_k|| = ||A_k Q_D||, the largest singular
+    value of the n*r x n block (P_D P_C)^k Q_D - P_CD Q_D (the walk
+    starts in D, where P_D P_C is the sandwiched operator); the fifth
+    member is the k = 1 value to the k.  ``subspaces`` may be a
     model from :func:`build_product`; otherwise degeneracy is decided
     before the product space is built.  ``k_values`` is one integer >= 1
     or a nonempty 1-d collection of them (:func:`methods.exponents`).
@@ -145,12 +145,10 @@ def chain_residual_profile(subspaces, k_values) -> np.ndarray:
     q = optimal_rate(fr, len(fam))
     model = model or build_product(fam)
     c_prod = cos_CD(model)
-    norms = power_sweep(ks, lambda Tk: symmetric_norm(Tk - P_M), T)
-    Q_D = model.D.basis
-    anchor = model.limit(Q_D)
-    wanted = set(ks.flat) | {1}
-    walk = islice(orbit(model.step, Q_D), 1, int(ks.max()) + 1)
-    prod = {k: spectral_norm(Z - anchor) for k, Z in enumerate(walk, 1) if k in wanted}
+    norms = sweep(ks, lambda Tk: symmetric_norm(Tk - P_M), powers(T))
+    anchor = model.limit(model.D.basis)
+    walk = orbit(model.step, model.D.basis)
+    prod = sweep(np.append(ks, 1), lambda Z: spectral_norm(Z - anchor), walk)
     rows = [
         np.abs(np.diff([norms[k], one_step**k, q**k, c_prod ** (2 * k), prod[1] ** k, prod[k]]))
         for k in ks.reshape(-1).tolist()
@@ -170,7 +168,7 @@ def pierra_lift_residual(subspaces, starts, k_values) -> float:
     nonempty 1-d collection of them (:func:`methods.exponents`); ``starts``
     must not be empty, since a residual over no starts would check nothing.
     """
-    ks = exponents(k_values, 0).reshape(-1)
+    ks = exponents(k_values, 0)
     starts = list(starts)
     if not starts:
         raise InputError("pierra_lift_residual needs at least one start")
@@ -182,9 +180,9 @@ def pierra_lift_residual(subspaces, starts, k_values) -> float:
         v = as_vector(x, "start", fam.ambient_dim)
         lifted = lift_diag(model, v)
         anchor = np.linalg.norm(model.limit(lifted) - lift_diag(model, fam.intersection.project(v)))
-        walks = islice(zip(orbit(model.step, lifted), orbit(lambda t: T @ t, v)), int(ks.max()) + 1)
-        drift = [np.linalg.norm(y - lift_diag(model, t)) for y, t in walks]
-        worst = max(worst, max(drift[k] for k in ks.tolist()) + anchor)
+        walks = orbit(model.step, lifted), orbit(lambda t: T @ t, v)
+        drift = sweep(ks, lambda y, t: np.linalg.norm(y - lift_diag(model, t)), *walks)
+        worst = max(worst, max(drift.values()) + anchor)
     return worst
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,13 +37,10 @@ from .subspaces import Family, Subspace
 __all__ = [
     "DEFAULT_TOLERANCES",
     "CheckOutcome",
-    "TraceSummary",
     "Report",
     "run_scenario",
     "report_to_dict",
-    "parse_report",
     "render_report",
-    "emit_report",
     "verify_battery",
     "render_battery",
 ]
@@ -51,14 +48,9 @@ __all__ = [
 REPORT_SCHEMA = "projbounds-report v1"
 BATTERY_SCHEMA = "projbounds-verify v1"
 
-# Central tolerance block; echoed verbatim into every report.
-DEFAULT_TOLERANCES = {
-    "norm_chain": 1e-8,
-    "kw": 1e-9,
-    "lemma_identity": 1e-9,
-    "pierra_lift": 1e-9,
-    "compare": 1e-12,
-    "bounds": 1e-10,
+# Every check's tolerance, then the rank policy; a report applies and
+# echoes its copy of this block.
+DEFAULT_TOLERANCES = {name: check.tolerance for name, check in CHECKS.items()} | {
     "rank_relative_eps": RANK_RELATIVE_EPS,
     "rank_absolute_floor": RANK_ABSOLUTE_FLOOR,
 }
@@ -80,15 +72,6 @@ class CheckOutcome:
 
 
 @dataclass
-class TraceSummary:
-    start_index: int
-    start: list[float]
-    errors: list[float]
-    bounds: list[float]
-    max_violation: float
-
-
-@dataclass
 class Report:
     scenario_name: str
     mode: str
@@ -98,7 +81,7 @@ class Report:
     friedrichs: dict
     q: float | None
     chain_residuals: list[float] | None
-    traces: list[TraceSummary]
+    traces: list[IterationTrace]
     check_outcomes: list[CheckOutcome]
     error: dict | None
     seed: int
@@ -120,16 +103,6 @@ def _random_starts(s: Scenario) -> list[np.ndarray]:
         return []
     rng = np.random.default_rng(np.random.SeedSequence(s.seed))
     return [rng.standard_normal(s.ambient_dim) for _ in range(s.random_starts)]
-
-
-def _trace_summary(index: int, trace: IterationTrace) -> TraceSummary:
-    return TraceSummary(
-        start_index=index,
-        start=[float(v) for v in trace.start],
-        errors=[float(v) for v in trace.errors],
-        bounds=[float(v) for v in trace.bounds],
-        max_violation=float(trace.max_violation()),
-    )
 
 
 def run_scenario(s: Scenario, include_traces: bool = True,
@@ -202,12 +175,11 @@ def run_scenario(s: Scenario, include_traces: bool = True,
         else:
             op = (simultaneous_operator if s.method == "simultaneous" else cyclic_operator)(family)
             traces = [iterate(op, x0, s.k_max) for x0 in inputs.starts]
-        report.traces = inputs.traces = [_trace_summary(i, t) for i, t in enumerate(traces)]
+        report.traces = inputs.traces = traces
 
     for name in wanted:
-        check = CHECKS[name]
-        tol = DEFAULT_TOLERANCES[check.tolerance_key]
-        residual, note = check.fn(inputs)
+        tol = report.tolerances[name]
+        residual, note = CHECKS[name].fn(inputs)
         report.check_outcomes.append(CheckOutcome(name, residual <= tol, residual, tol, note))
     report.chain_residuals = inputs.chain_residuals
     report.wall_time_s = time.perf_counter() - t0
@@ -217,6 +189,11 @@ def run_scenario(s: Scenario, include_traces: bool = True,
 def _outcome_entry(c: CheckOutcome) -> dict:
     return {"check": c.name, "passed": c.passed, "residual": c.residual,
             "tolerance": c.tolerance, "note": c.note}
+
+
+def _trace_entry(index: int, t: IterationTrace) -> dict:
+    return {"start_index": index, "start": t.start.tolist(), "errors": t.errors.tolist(),
+            "bounds": t.bounds.tolist(), "max_violation": t.max_violation()}
 
 
 def report_to_dict(rep: Report) -> dict:
@@ -231,50 +208,19 @@ def report_to_dict(rep: Report) -> dict:
         "friedrichs": rep.friedrichs,
         "q": rep.q,
         "chain_residuals": rep.chain_residuals,
-        "traces": [asdict(t) for t in rep.traces],
+        "traces": [_trace_entry(i, t) for i, t in enumerate(rep.traces)],
         "check_outcomes": [_outcome_entry(c) for c in rep.check_outcomes],
         "error": rep.error,
         "metadata": {"seed": rep.seed, "tolerances": rep.tolerances},
     }
 
 
-def parse_report(text: str) -> Report:
-    """Rebuild a Report from its JSON rendering."""
-    doc = json.loads(text)
-    if doc.get("schema") != REPORT_SCHEMA:
-        raise InputError(f"unexpected report schema {doc.get('schema')!r}")
-    return Report(
-        scenario_name=doc["scenario_name"],
-        mode=doc["mode"],
-        method=doc["method"],
-        ambient_dim=doc["ambient_dim"],
-        r=doc["r"],
-        friedrichs=doc["friedrichs"],
-        q=doc["q"],
-        chain_residuals=doc["chain_residuals"],
-        traces=[TraceSummary(**t) for t in doc["traces"]],
-        check_outcomes=[
-            CheckOutcome(
-                name=c["check"],
-                passed=c["passed"],
-                residual=c["residual"],
-                tolerance=c["tolerance"],
-                note=c["note"],
-            )
-            for c in doc["check_outcomes"]
-        ],
-        error=doc["error"],
-        seed=doc["metadata"]["seed"],
-        tolerances=doc["metadata"]["tolerances"],
-    )
-
-
 def _csv_lines(rep: Report) -> list[str]:
     lines = ["scenario,start_index,k,error,bound,ratio"]
-    for t in rep.traces:
-        for k, (err, bnd) in enumerate(zip(t.errors, t.bounds)):
+    for index, t in enumerate(rep.traces):
+        for k, (err, bnd) in enumerate(zip(t.errors.tolist(), t.bounds.tolist())):
             ratio = "" if bnd == 0.0 else repr(err / bnd)
-            lines.append(f"{rep.scenario_name},{t.start_index},{k},{err!r},{bnd!r},{ratio}")
+            lines.append(f"{rep.scenario_name},{index},{k},{err!r},{bnd!r},{ratio}")
     return lines
 
 
@@ -285,13 +231,6 @@ def render_report(rep: Report, fmt: str = "json") -> str:
     if fmt == "csv":
         return "\n".join(_csv_lines(rep)) + "\n"
     raise InputError(f"unknown format {fmt!r}; expected json or csv")
-
-
-def emit_report(rep: Report, fmt: str, path) -> None:
-    """Write the rendered report to ``path`` with LF newlines."""
-    text = render_report(rep, fmt)
-    with open(path, "w", newline="\n") as handle:
-        handle.write(text)
 
 
 def _battery_scenario(index: int, child: np.random.SeedSequence, kmax_cap: int) -> Scenario:

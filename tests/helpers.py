@@ -18,7 +18,7 @@ from projbounds import (
     verify_error_identity,
 )
 from projbounds.angles import optimal_rate
-from projbounds.methods import exponents, power_sweep
+from projbounds.methods import exponents, powers, sweep
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -114,7 +114,7 @@ def dense_chain_residual_profile(subspaces, k_values) -> np.ndarray:
     def direct_norms(Tk, Tpk):
         return symmetric_norm(Tk - P_M), symmetric_norm(Tpk - P_CD)
 
-    norms = power_sweep(ks, direct_norms, T, T_prod)
+    norms = sweep(ks, direct_norms, powers(T), powers(T_prod))
     rows = []
     for k in ks.reshape(-1).tolist():
         norm, prod = norms[k]

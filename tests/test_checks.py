@@ -50,10 +50,11 @@ class TestOneTable:
         assert list(CHECKS) == ["norm_chain", "kw", "lemma_identity", "pierra_lift",
                                 "compare", "bounds"]
         assert [n for n, c in CHECKS.items() if c.pairs_only] == ["kw", "compare"]
-        assert [n for n, c in CHECKS.items() if c.in_analyze] == [
-            "norm_chain", "kw", "lemma_identity", "compare"]
         assert [n for n, c in CHECKS.items() if c.needs_start] == ["pierra_lift", "bounds"]
-        assert all(c.tolerance_key == n for n, c in CHECKS.items())
+        assert [c.tolerance for c in CHECKS.values()] == [1e-8, 1e-9, 1e-9, 1e-9, 1e-12, 1e-10]
+        # the tolerance block: each check's row, in table order, then the rank policy
+        assert list(DEFAULT_TOLERANCES) == [*CHECKS, "rank_relative_eps", "rank_absolute_floor"]
+        assert all(DEFAULT_TOLERANCES[n] == c.tolerance for n, c in CHECKS.items())
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_generate_random(self, r):
@@ -80,7 +81,7 @@ class TestOneTable:
     @pytest.mark.parametrize("r", [2, 3])
     def test_analyze(self, tmp_path, r):
         s = generate_random(r, 6, [2] * r, seed=1, k_max=3)
-        expected = [n for n in s.checks if CHECKS[n].in_analyze]
+        expected = [n for n in s.checks if not CHECKS[n].needs_start]
         assert cli_check_names(tmp_path, "analyze", s) == expected
 
 
@@ -191,7 +192,7 @@ def test_readme_table_matches():
     assert list(rows) == list(CHECKS)
     for name, check in CHECKS.items():
         _, _, tolerance, pairs_only, in_analyze, needs_start = rows[name]
-        assert float(tolerance) == DEFAULT_TOLERANCES[check.tolerance_key]
+        assert float(tolerance) == check.tolerance
         assert pairs_only == ("yes" if check.pairs_only else "no")
-        assert in_analyze == ("yes" if check.in_analyze else "no")
+        assert in_analyze == ("no" if check.needs_start else "yes")
         assert needs_start == ("yes" if check.needs_start else "no")

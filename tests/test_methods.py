@@ -16,6 +16,7 @@ from projbounds import (
     spectral_norm,
     verify_error_identity,
 )
+from projbounds.methods import orbit, powers, sweep
 from helpers import (
     k_indexed_calls,
     lines_exact_60,
@@ -334,3 +335,55 @@ class TestExponentArrays:
         assert norms == pytest.approx([0.421875, 0.75, 0.421875], abs=1e-12)
         assert kw_bound(lines_exact_60(), ks) == pytest.approx([0.03125, 0.5, 0.03125], abs=1e-12)
         assert isinstance(error_operator_norm(T, np.int64(3)), float)
+
+
+def counted_orbit(x, steps):
+    """The orbit of v -> v + 1 from x, appending each step's input to ``steps``."""
+
+    def step(v):
+        steps.append(v)
+        return v + 1
+
+    return orbit(step, x)
+
+
+class TestSweep:
+    """``sweep`` reads each walk at the wanted k and nowhere else."""
+
+    def test_value_called_only_at_wanted_k(self):
+        calls = []
+        out = sweep(np.array([5, 2, 9]), lambda v: calls.append(v) or 10 * v, counted_orbit(0, []))
+        assert calls == [2, 5, 9]
+        assert out == {2: 20, 5: 50, 9: 90}
+
+    @pytest.mark.parametrize("ks", [[4], [1, 7, 3], [7, 7]])
+    def test_each_walk_advances_exactly_to_max_k(self, ks):
+        first, second = [], []
+        sweep(np.array(ks), lambda a, b: None, counted_orbit(0, first), counted_orbit(100, second))
+        # reading item k takes k steps; item max(ks) is the last one read
+        assert first == list(range(max(ks)))
+        assert second == list(range(100, 100 + max(ks)))
+
+    def test_unsorted_and_repeated_ks(self):
+        calls = []
+        out = sweep(np.array([3, 1, 3, 0, 1]), lambda a, b: calls.append(a) or (a, b),
+                    counted_orbit(0, []), counted_orbit(10, []))
+        assert calls == [0, 1, 3]
+        assert out == {0: (0, 10), 1: (1, 11), 3: (3, 13)}
+
+    def test_k_zero_reads_the_start(self):
+        steps = []
+        start = np.array([1.0, 2.0])
+        out = sweep(np.array(0), lambda x: x, counted_orbit(start, steps))
+        assert out[0] is start and steps == []
+
+    def test_power_walk_is_left_to_right_products(self):
+        A = np.random.default_rng(3).standard_normal((7, 7)) / 3
+        expected = {1: A, 2: A @ A, 3: A @ A @ A, 5: A @ A @ A @ A @ A}
+        out = sweep(np.array([5, 1, 3, 2]), np.copy, powers(A))
+        assert list(out) == [1, 2, 3, 5]
+        for k, Ak in expected.items():
+            assert np.array_equal(out[k], Ak)
+        walk = powers(A)
+        next(walk)
+        assert next(walk) is A  # A^1 costs no product

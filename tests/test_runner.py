@@ -3,10 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from projbounds import generate_random, generate_two_subspace, parse_scenario
+from projbounds import ContainmentError, cli, generate_random, generate_two_subspace, parse_scenario
 from projbounds.runner import (
-    emit_report,
-    parse_report,
     render_report,
     report_to_dict,
     run_scenario,
@@ -137,13 +135,18 @@ class TestRunScenario:
             parse_scenario(LINES_60).checks
         )
 
+    @pytest.mark.xfail(strict=True, raises=ContainmentError,
+                       reason="near-coincident pair: the intersection's relative rank cutoff "
+                       "(300 * 1e-12) admits a direction with sine 1.7e-10, which the "
+                       "absolute containment test (1e-10) then rejects")
+    def test_generated_near_coincident_pair_runs(self):
+        run_scenario(generate_two_subspace(1e-8, 300, 0, seed=0))
+
 
 class TestEmission:
     def test_json_round_trip(self):
         rep = run_scenario(parse_scenario(LINES_60))
         text = render_report(rep, "json")
-        rebuilt = parse_report(text)
-        assert report_to_dict(rebuilt) == report_to_dict(rep)
         assert json.loads(text) == report_to_dict(rep)
 
     def test_json_excludes_wall_time(self):
@@ -183,14 +186,20 @@ class TestEmission:
         assert rows[2].endswith(",0.0,0.0,")
 
     def test_emit_is_byte_stable(self, tmp_path):
-        s = parse_scenario(LINES_60)
+        scenario = tmp_path / "lines.scenario"
+        scenario.write_text(LINES_60)
+
+        def emit(fmt, path):
+            assert cli.main(["run", "--scenario", str(scenario), "--format", fmt,
+                             "--out", str(path)]) == 0
+
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        emit_report(run_scenario(s), "json", p1)
-        emit_report(run_scenario(s), "json", p2)
+        emit("json", p1)
+        emit("json", p2)
         assert p1.read_bytes() == p2.read_bytes()
         c1, c2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_report(run_scenario(s), "csv", c1)
-        emit_report(run_scenario(s), "csv", c2)
+        emit("csv", c1)
+        emit("csv", c2)
         assert c1.read_bytes() == c2.read_bytes()
 
     def test_tolerances_echoed(self):
