@@ -11,11 +11,11 @@ that identity (powers of T - P_M avoid the cancellation that forming T^k
 and subtracting would suffer), while :func:`verify_error_identity` checks
 the identity itself with both sides formed independently.
 
-Each function of the step count k takes one exponent (a float results) or
-a 1-d integer array of them (an array of its shape results).  Every walk to
-k is an :func:`orbit`, its k-th item the k-th iterate (:func:`powers` is the
-orbit of P -> P A), and :func:`sweep` reads walks at the wanted k; rates
-are computed once and raised.
+Each function of the step count k takes either one exponent, returning a
+float, or a 1-d integer array of them, returning an array of its shape.
+Every walk to k is an :func:`orbit`, its k-th item the k-th iterate
+(:func:`powers` is the orbit of P -> P A), and :func:`sweep` reads walks
+at the wanted k; rates are computed once and raised.
 
 The optimal starting-point-independent rate of the simultaneous method is
 
@@ -29,6 +29,7 @@ one-sided product bound of :func:`cyclic_bound` is available.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,47 +58,43 @@ __all__ = [
 KIND_SIMULTANEOUS = "simultaneous"
 KIND_CYCLIC = "cyclic"
 
-_NORM_SLACK = 1e-12
-_ABSORPTION_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class IterOperator:
-    """A nonexpansive iteration matrix together with its limit projector.
+    """The iteration operator of one kind on a family, a read-only view of it.
 
-    The limit projector P_M absorbs the operator on both sides
-    (T P_M = P_M T = P_M); simultaneous operators are additionally
-    symmetric.  Violations raise InputError at construction.
+    ``matrix`` is T and ``limit_projector`` is P_M; both are formed from the
+    family on first use, kept, and read-only.
     """
 
-    matrix: np.ndarray
+    family: Family
     kind: str
-    limit_projector: np.ndarray
 
     def __post_init__(self) -> None:
         if self.kind not in (KIND_SIMULTANEOUS, KIND_CYCLIC):
             raise InputError(f"unknown operator kind {self.kind!r}")
-        T = np.asarray(self.matrix, dtype=float)
-        P = np.asarray(self.limit_projector, dtype=float)
-        if T.shape != P.shape or T.ndim != 2 or T.shape[0] != T.shape[1]:
-            raise InputError("operator and limit projector must be square and congruent")
-        if spectral_norm(T) > 1.0 + _NORM_SLACK:
-            raise InputError("operator norm exceeds 1")
-        if (
-            spectral_norm(T @ P - P) > _ABSORPTION_TOL
-            or spectral_norm(P @ T - P) > _ABSORPTION_TOL
-        ):
-            raise InputError("limit projector is not absorbed by the operator")
-        if self.kind == KIND_SIMULTANEOUS and spectral_norm(T - T.T) > _NORM_SLACK:
-            raise InputError("simultaneous operator must be symmetric")
-        for name, A in (("matrix", T), ("limit_projector", P)):
-            A = A.copy()
-            A.setflags(write=False)
-            object.__setattr__(self, name, A)
+        # Absorption, T P_M = P_M T = P_M, follows from M lying in every M_i.
+        # Forming the reduced components tests that containment, once per
+        # family (Subspace.contains at PROJECTOR_EQ_TOL; ContainmentError if
+        # it fails), so no operator re-decides it from its matrices.
+        self.family.reduced
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.matrix.shape[0]
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """(1/r) (P_1 + ... + P_r) or P_r ... P_1 (index 1 applied first)."""
+        if self.kind == KIND_SIMULTANEOUS:
+            return self.family.averaged_projector
+        T = self.family.members[0].projector()
+        for S in self.family.members[1:]:
+            T = S.projector() @ T
+        T.setflags(write=False)
+        return T
+
+    @cached_property
+    def limit_projector(self) -> np.ndarray:
+        P = self.family.intersection.projector()
+        P.setflags(write=False)
+        return P
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,19 +128,12 @@ class IterationTrace:
 
 def simultaneous_operator(subspaces) -> IterOperator:
     """Averaged-projector operator (1/r) sum_i P_i with limit P_M."""
-    fam = Family.of(subspaces)
-    P_M = fam.intersection.projector()
-    return IterOperator(matrix=fam.averaged_projector, kind=KIND_SIMULTANEOUS, limit_projector=P_M)
+    return IterOperator(Family.of(subspaces), KIND_SIMULTANEOUS)
 
 
 def cyclic_operator(subspaces) -> IterOperator:
     """Composed-projector operator P_r ... P_1 (index 1 applied first)."""
-    fam = Family.of(subspaces)
-    T = fam.members[0].projector()
-    for S in fam.members[1:]:
-        T = S.projector() @ T
-    P_M = fam.intersection.projector()
-    return IterOperator(matrix=T, kind=KIND_CYCLIC, limit_projector=P_M)
+    return IterOperator(Family.of(subspaces), KIND_CYCLIC)
 
 
 def iterate(T: IterOperator, x0, k_max: int) -> IterationTrace:
@@ -154,7 +144,7 @@ def iterate(T: IterOperator, x0, k_max: int) -> IterationTrace:
     ||T - P_M||^k * ||x0||, valid for both operator kinds since
     T^k - P_M = (T - P_M)^k.
     """
-    x = as_vector(x0, "start", T.ambient_dim)
+    x = as_vector(x0, "start", T.family.ambient_dim)
     if k_max < 0:
         raise InputError("k_max must be nonnegative")
     errors = error_profile(x, T.limit_projector @ x, lambda v: T.matrix @ v, k_max)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from projbounds import (
+    ContainmentError,
+    Family,
     InputError,
     IterOperator,
     Subspace,
@@ -16,7 +18,7 @@ from projbounds import (
     spectral_norm,
     verify_error_identity,
 )
-from projbounds.methods import orbit, powers, sweep
+from projbounds.methods import KIND_CYCLIC, KIND_SIMULTANEOUS, orbit, powers, sweep
 from helpers import (
     k_indexed_calls,
     lines_exact_60,
@@ -70,36 +72,34 @@ class TestOperators:
         with pytest.raises(InputError):
             cyclic_operator([])
 
-    def test_invariant_violations_rejected(self):
-        with pytest.raises(InputError):
-            IterOperator(matrix=2.0 * np.eye(2), kind="simultaneous",
-                         limit_projector=np.zeros((2, 2)))
-        with pytest.raises(InputError):
-            # projector not absorbed: P_M not fixed by T
-            IterOperator(matrix=np.diag([0.5, 0.5]), kind="simultaneous",
-                         limit_projector=np.eye(2))
-        with pytest.raises(InputError):
-            IterOperator(matrix=np.eye(2), kind="bogus",
-                         limit_projector=np.eye(2))
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(InputError, match="bogus"):
+            IterOperator(Family(orthogonal_axes()), "bogus")
 
-    def test_simultaneous_rejects_asymmetric_matrix(self):
-        # nonexpansive and absorbing, only asymmetry is wrong; the test of
-        # T - T^T needs the general norm, since symmetrising it gives zero
-        T = np.array([[0.5, 0.25], [0.0, 0.5]])
-        P = np.zeros((2, 2))
-        with pytest.raises(InputError, match="symmetric"):
-            IterOperator(matrix=T, kind="simultaneous", limit_projector=P)
-        assert IterOperator(matrix=T, kind="cyclic", limit_projector=P).ambient_dim == 2
+    @pytest.mark.parametrize("kind", [KIND_SIMULTANEOUS, KIND_CYCLIC])
+    def test_intersection_outside_a_member_rejected(self, kind):
+        # absorption rests on M lying in every M_i; an intersection that
+        # does not is refused when the operator is built
+        fam = Family(random_family(np.random.default_rng(7), 3, 10))
+        fam.__dict__["intersection"] = Subspace.full(10)
+        with pytest.raises(ContainmentError):
+            IterOperator(fam, kind)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_absorption_random(self, seed):
+        # construction checks none of this: the family's one containment
+        # test decides absorption, and the rest holds by how T is formed
         rng = np.random.default_rng(seed)
-        subs = random_family(rng, int(rng.integers(2, 5)), int(rng.integers(3, 20)))
-        for T in (simultaneous_operator(subs), cyclic_operator(subs)):
+        fam = Family(random_family(rng, int(rng.integers(2, 5)), int(rng.integers(3, 20))))
+        S = simultaneous_operator(fam)
+        assert S.matrix is fam.averaged_projector
+        assert np.array_equal(S.matrix, S.matrix.T)
+        for T in (S, cyclic_operator(fam)):
             P = T.limit_projector
             assert spectral_norm(T.matrix @ P - P) <= 1e-10
             assert spectral_norm(P @ T.matrix - P) <= 1e-10
             assert spectral_norm(T.matrix) <= 1.0 + 1e-12
+            assert not T.matrix.flags.writeable and not P.flags.writeable
 
 
 class TestIterate:

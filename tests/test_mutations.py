@@ -1,19 +1,21 @@
-"""Mutation gate for the product-space paths (DeMillo, Lipton & Sayward,
+"""Mutation gate for the product-space paths and the two sides of the
+lemma identity T^k - P_M = (T - P_M)^k (DeMillo, Lipton & Sayward,
 "Hints on test data selection", Computer 11(4), 1978).
 
 Each row of ``FAULTS`` plants one small fault with ``monkeypatch`` and
 names the checks that must fail on one fixed family because of it; every
 other check must still pass.  The unmutated code passes them all.  Each
 independent path of the norm chain has its own row, so no member can
-turn into a copy of another unnoticed.  The family has a one-dimensional
-common part, so C intersect D is not {0}, and the scenario iterates in
-the product space, so ``bounds`` reads the lifted traces.
+turn into a copy of another unnoticed, and so has each side of the
+lemma.  The family has a one-dimensional common part, so C intersect D
+is not {0}, and the scenario iterates in the product space, so
+``bounds`` reads the lifted traces.
 """
 
 import numpy as np
 import pytest
 
-from projbounds import checks, productspace
+from projbounds import checks, methods, productspace
 from projbounds.productspace import ProductSpaceModel, lift_diag
 from projbounds.runner import run_scenario
 from projbounds.scenario import Scenario
@@ -93,6 +95,20 @@ def walk_one_step_ahead(monkeypatch, ahead):
     monkeypatch.setattr(productspace, "orbit", orbit)
 
 
+def power_walk_one_step_ahead(monkeypatch, ahead):
+    """Every walk of ``methods.powers`` whose matrix A has ``ahead(A)``
+    skips its first power."""
+    real = methods.powers
+
+    def powers(A):
+        walk = real(A)
+        if ahead(A):
+            next(walk)
+        return walk
+
+    monkeypatch.setattr(methods, "powers", powers)
+
+
 def scaled(monkeypatch, name):
     """``productspace.<name>`` returns its value times 1 + 1e-6."""
     real = getattr(productspace, name)
@@ -119,6 +135,16 @@ FAULTS = {
     "chain members 5 and 6: walk of D's basis one step ahead": (
         lambda mp: walk_one_step_ahead(mp, lambda x: x.ndim == 2),
         {"norm_chain"},
+    ),
+    # The lemma's left side walks T, the operator's read-only matrix; its
+    # right side walks T - P_M, a difference formed afresh.
+    "lemma left side: walk of T one step ahead": (
+        lambda mp: power_walk_one_step_ahead(mp, lambda A: not A.flags.writeable),
+        {"lemma_identity"},
+    ),
+    "lemma right side: walk of T - P_M one step ahead": (
+        lambda mp: power_walk_one_step_ahead(mp, lambda A: A.flags.writeable),
+        {"lemma_identity"},
     ),
 }
 
