@@ -37,8 +37,6 @@ __all__ = [
 # inconsistent (empty intersection).
 FEASIBILITY_TOL = 1e-8
 
-_ANCHOR_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class AffineSubspace:
@@ -75,10 +73,6 @@ class AffineSubspace:
         """Nearest point of the set to x, via P_V(x) = v + P_L(x - v)."""
         v = as_vector(x, "vector", self.ambient_dim)
         return self.anchor + self.direction.project(v - self.anchor)
-
-    def contains_point(self, x, tol: float = _ANCHOR_TOL) -> bool:
-        v = as_vector(x, "x")
-        return bool(np.linalg.norm(v - self.project(v)) <= tol)
 
 
 @dataclass(frozen=True, eq=False)

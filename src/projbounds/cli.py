@@ -2,12 +2,12 @@
 
 Subcommands:
 
-* ``analyze``  - angles and norms only: Friedrichs routes, optimal rate,
-                 and any norm-level checks from the scenario.
-* ``run``      - iterate from the scenario's starts, attach bounds, and
-                 execute every requested check.
-* ``verify``   - the full identity suite, either on one scenario or on a
-                 seeded battery of random instances.
+* ``analyze``  - the scenario without its starts: Friedrichs routes,
+                 optimal rate, and its checks that need no start.
+* ``run``      - the scenario as written: iterate from its starts, attach
+                 bounds, and execute every check it requests.
+* ``verify``   - the scenario with its checks replaced by the full
+                 identity suite, or a seeded battery of random instances.
 * ``generate`` - write scenario files with planted or random geometry.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 input
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .checks import CHECKS, suite_checks
 from .errors import InputError, ProjBoundsError
@@ -47,8 +48,11 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _load_scenario(args):
-    scenario = parse_scenario(args.scenario)
-    return scenario.with_overrides(k_max=args.kmax, seed=args.seed)
+    """The scenario file with ``--kmax`` and ``--seed`` applied; run_scenario
+    validates the result."""
+    overrides = {"k_max": args.kmax, "seed": args.seed}
+    return replace(parse_scenario(args.scenario),
+                   **{key: value for key, value in overrides.items() if value is not None})
 
 
 def _emit_and_score(report, args) -> int:
@@ -62,21 +66,19 @@ def _emit_and_score(report, args) -> int:
 def _cmd_analyze(args) -> int:
     scenario = _load_scenario(args)
     checks = tuple(c for c in scenario.checks if not CHECKS[c].needs_start)
-    report = run_scenario(scenario, include_traces=False, checks_override=checks)
-    return _emit_and_score(report, args)
+    scenario = replace(scenario, starts=[], random_starts=0, checks=checks)
+    return _emit_and_score(run_scenario(scenario), args)
 
 
 def _cmd_run(args) -> int:
-    scenario = _load_scenario(args)
-    report = run_scenario(scenario)
-    return _emit_and_score(report, args)
+    return _emit_and_score(run_scenario(_load_scenario(args)), args)
 
 
 def _cmd_verify(args) -> int:
     if args.scenario is not None:
         scenario = _load_scenario(args)
-        report = run_scenario(scenario, checks_override=suite_checks(scenario.r))
-        return _emit_and_score(report, args)
+        scenario = replace(scenario, checks=suite_checks(scenario.r))
+        return _emit_and_score(run_scenario(scenario), args)
     doc = verify_battery(seed=args.seed if args.seed is not None else 0,
                          count=args.count,
                          kmax_cap=args.kmax if args.kmax is not None else 10)

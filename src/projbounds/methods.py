@@ -63,8 +63,9 @@ KIND_CYCLIC = "cyclic"
 class IterOperator:
     """The iteration operator of one kind on a family, a read-only view of it.
 
-    ``matrix`` is T and ``limit_projector`` is P_M; both are formed from the
-    family on first use, kept, and read-only.
+    ``matrix`` is T, ``limit_projector`` is P_M and ``rate`` is ||T - P_M||;
+    each is formed from the family on first use and kept, the matrices
+    read-only.
     """
 
     family: Family
@@ -95,6 +96,12 @@ class IterOperator:
         P = self.family.intersection.projector()
         P.setflags(write=False)
         return P
+
+    @cached_property
+    def rate(self) -> float:
+        """||T - P_M||, the one-step error norm, which :func:`iterate` raises
+        to the k-th power for every start."""
+        return spectral_norm(self.matrix - self.limit_projector)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,8 +155,7 @@ def iterate(T: IterOperator, x0, k_max: int) -> IterationTrace:
     if k_max < 0:
         raise InputError("k_max must be nonnegative")
     errors = error_profile(x, T.limit_projector @ x, lambda v: T.matrix @ v, k_max)
-    rate = spectral_norm(T.matrix - T.limit_projector)
-    bounds = rate ** np.arange(k_max + 1) * np.linalg.norm(x)
+    bounds = T.rate ** np.arange(k_max + 1) * np.linalg.norm(x)
     return IterationTrace(start=x, errors=errors, bounds=bounds)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .angles import (
     friedrichs_gram,
     optimal_rate,
 )
-from .checks import CHECKS, CheckInputs, suite_checks, validate_checks
+from .checks import CHECKS, CheckInputs, suite_checks
 from .errors import DegenerateError, InfeasibleError, InputError
 from .methods import IterationTrace, cyclic_operator, iterate, simultaneous_operator
 from .numlin import RANK_ABSOLUTE_FLOOR, RANK_RELATIVE_EPS
@@ -49,7 +49,7 @@ REPORT_SCHEMA = "projbounds-report v1"
 BATTERY_SCHEMA = "projbounds-verify v1"
 
 # Every check's tolerance, then the rank policy; a report applies and
-# echoes its copy of this block.
+# echoes this block.
 DEFAULT_TOLERANCES = {name: check.tolerance for name, check in CHECKS.items()} | {
     "rank_relative_eps": RANK_RELATIVE_EPS,
     "rank_absolute_floor": RANK_ABSOLUTE_FLOOR,
@@ -73,19 +73,13 @@ class CheckOutcome:
 
 @dataclass
 class Report:
-    scenario_name: str
-    mode: str
-    method: str
-    ambient_dim: int
-    r: int
+    scenario: Scenario
     friedrichs: dict
-    q: float | None
-    chain_residuals: list[float] | None
-    traces: list[IterationTrace]
-    check_outcomes: list[CheckOutcome]
-    error: dict | None
-    seed: int
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+    q: float
+    chain_residuals: list[float] | None = None
+    traces: list[IterationTrace] = field(default_factory=list)
+    check_outcomes: list[CheckOutcome] = field(default_factory=list)
+    error: dict | None = None
     wall_time_s: float = 0.0
 
     def all_passed(self) -> bool:
@@ -99,24 +93,18 @@ def _friedrichs_entry(result: FriedrichsResult | None) -> dict | None:
 
 
 def _random_starts(s: Scenario) -> list[np.ndarray]:
-    if s.random_starts <= 0:
-        return []
     rng = np.random.default_rng(np.random.SeedSequence(s.seed))
     return [rng.standard_normal(s.ambient_dim) for _ in range(s.random_starts)]
 
 
-def run_scenario(s: Scenario, include_traces: bool = True,
-                 checks_override=None) -> Report:
+def run_scenario(s: Scenario) -> Report:
     """Execute a scenario and assemble its report.
 
-    ``include_traces=False`` skips iteration entirely (the ``analyze``
-    subcommand); ``checks_override`` replaces the scenario's check list and
-    is validated like it.  Every requested check is executed and reported
-    with its residual, passing or not.
+    The scenario is the whole description of the run: it iterates from
+    the scenario's starts if it has any, and executes every check in
+    ``s.checks``, each reported with its residual, passing or not.
     """
     validate_scenario(s)
-    wanted = tuple(checks_override) if checks_override is not None else s.checks
-    validate_checks(wanted, s.r, len(s.starts) + s.random_starts)
     t0 = time.perf_counter()
 
     if s.mode == "affine":
@@ -141,20 +129,7 @@ def run_scenario(s: Scenario, include_traces: bool = True,
         ROUTE_PRINCIPAL: _friedrichs_entry(principal),
     }
 
-    report = Report(
-        scenario_name=s.name,
-        mode=s.mode,
-        method=s.method,
-        ambient_dim=s.ambient_dim,
-        r=s.r,
-        friedrichs=friedrichs,
-        q=float(optimal_rate(gram, s.r)),
-        chain_residuals=None,
-        traces=[],
-        check_outcomes=[],
-        error=None,
-        seed=s.seed,
-    )
+    report = Report(s, friedrichs, float(optimal_rate(gram, s.r)))
 
     if affine is not None:
         try:
@@ -166,7 +141,7 @@ def run_scenario(s: Scenario, include_traces: bool = True,
 
     inputs = CheckInputs(family, gram, s.k_max, list(s.starts) + _random_starts(s))
 
-    if include_traces and inputs.starts:
+    if inputs.starts:
         if affine is not None:
             sweep = simultaneous_affine if s.method == "simultaneous" else cyclic_affine
             traces = [sweep(affine, x0, s.k_max) for x0 in inputs.starts]
@@ -177,8 +152,8 @@ def run_scenario(s: Scenario, include_traces: bool = True,
             traces = [iterate(op, x0, s.k_max) for x0 in inputs.starts]
         report.traces = inputs.traces = traces
 
-    for name in wanted:
-        tol = report.tolerances[name]
+    for name in s.checks:
+        tol = DEFAULT_TOLERANCES[name]
         residual, note = CHECKS[name].fn(inputs)
         report.check_outcomes.append(CheckOutcome(name, residual <= tol, residual, tol, note))
     report.chain_residuals = inputs.chain_residuals
@@ -200,18 +175,18 @@ def report_to_dict(rep: Report) -> dict:
     """Canonical JSON-ready form of a report (wall time excluded)."""
     return {
         "schema": REPORT_SCHEMA,
-        "scenario_name": rep.scenario_name,
-        "mode": rep.mode,
-        "method": rep.method,
-        "ambient_dim": rep.ambient_dim,
-        "r": rep.r,
+        "scenario_name": rep.scenario.name,
+        "mode": rep.scenario.mode,
+        "method": rep.scenario.method,
+        "ambient_dim": rep.scenario.ambient_dim,
+        "r": rep.scenario.r,
         "friedrichs": rep.friedrichs,
         "q": rep.q,
         "chain_residuals": rep.chain_residuals,
         "traces": [_trace_entry(i, t) for i, t in enumerate(rep.traces)],
         "check_outcomes": [_outcome_entry(c) for c in rep.check_outcomes],
         "error": rep.error,
-        "metadata": {"seed": rep.seed, "tolerances": rep.tolerances},
+        "metadata": {"seed": rep.scenario.seed, "tolerances": dict(DEFAULT_TOLERANCES)},
     }
 
 
@@ -220,7 +195,7 @@ def _csv_lines(rep: Report) -> list[str]:
     for index, t in enumerate(rep.traces):
         for k, (err, bnd) in enumerate(zip(t.errors.tolist(), t.bounds.tolist())):
             ratio = "" if bnd == 0.0 else repr(err / bnd)
-            lines.append(f"{rep.scenario_name},{index},{k},{err!r},{bnd!r},{ratio}")
+            lines.append(f"{rep.scenario.name},{index},{k},{err!r},{bnd!r},{ratio}")
     return lines
 
 
@@ -261,7 +236,7 @@ def verify_battery(seed: int, count: int = 100, kmax_cap: int = 10) -> dict:
     failures = 0
     for index, child in enumerate(root.spawn(count)):
         sc = _battery_scenario(index, child, kmax_cap)
-        rep = run_scenario(sc, checks_override=suite_checks(sc.r))
+        rep = run_scenario(replace(sc, checks=suite_checks(sc.r)))
         passed = rep.all_passed()
         if not passed:
             failures += 1

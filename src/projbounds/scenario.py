@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -86,16 +86,6 @@ MODES = ("linear", "affine")
 METHODS = ("simultaneous", "cyclic", "product_alternating")
 
 _KEY_RE = re.compile(r"^([A-Za-z_]+):(.*)$")
-_SCALAR_KEYS = (
-    "name",
-    "ambient_dim",
-    "mode",
-    "method",
-    "k_max",
-    "seed",
-    "random_starts",
-    "checks",
-)
 
 
 @dataclass
@@ -108,13 +98,15 @@ class SubspaceSpec:
     line: int = 0
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Scenario:
-    """A validated experiment description."""
+    """An experiment description, the whole of one run: a run iterates from
+    the starts, if there are any, and executes ``checks``.  Each field's
+    default is the one a scenario file gets for a missing key."""
 
-    name: str
     ambient_dim: int
     subspaces: list[SubspaceSpec]
+    name: str = "unnamed"
     mode: str = "linear"
     method: str = "simultaneous"
     k_max: int = 10
@@ -135,15 +127,6 @@ class Scenario:
                    method=method, k_max=k_max, seed=seed, random_starts=2,
                    checks=applicable_checks(len(spans)))
 
-    def with_overrides(self, k_max: int | None = None, seed: int | None = None):
-        out = self
-        if k_max is not None:
-            out = replace(out, k_max=k_max)
-        if seed is not None:
-            out = replace(out, seed=seed)
-        validate_scenario(out)
-        return out
-
 
 def _fail(lineno: int | None, message: str):
     where = f"line {lineno}: " if lineno else ""
@@ -155,6 +138,26 @@ def _parse_int(value: str, key: str, lineno: int) -> int:
         return int(value)
     except ValueError:
         _fail(lineno, f"{key} expects an integer, got {value!r}")
+
+
+def _parse_text(value: str, key: str, lineno: int) -> str:
+    if not value:
+        _fail(lineno, f"{key} expects a value")
+    return value
+
+
+# Every top-level key, with how its value is read; a missing key takes the
+# Scenario field's default.
+_SCALAR_KEYS = {
+    "name": _parse_text,
+    "ambient_dim": _parse_int,
+    "mode": _parse_text,
+    "method": _parse_text,
+    "k_max": _parse_int,
+    "seed": _parse_int,
+    "random_starts": _parse_int,
+    "checks": lambda value, key, lineno: tuple(value.split()),
+}
 
 
 def _parse_row(line: str, lineno: int) -> list[float]:
@@ -243,14 +246,7 @@ def parse_scenario(source) -> Scenario:
             if key in _SCALAR_KEYS:
                 current = None
                 collector = None
-                if key in ("ambient_dim", "k_max", "seed", "random_starts"):
-                    fields[key] = _parse_int(value, key, lineno)
-                elif key == "checks":
-                    fields[key] = tuple(value.split())
-                else:
-                    if not value:
-                        _fail(lineno, f"{key} expects a value")
-                    fields[key] = value
+                fields[key] = _SCALAR_KEYS[key](value, key, lineno)
             elif key == "subspace":
                 if value:
                     _fail(lineno, "subspace takes no inline value")
@@ -306,18 +302,8 @@ def parse_scenario(source) -> Scenario:
         anchor = np.array(sub["anchor"], dtype=float) if sub["anchor"] is not None else None
         specs.append(SubspaceSpec(spanning=spanning, anchor=anchor, line=sub["line"]))
 
-    scenario = Scenario(
-        name=fields.get("name", "unnamed"),
-        ambient_dim=n,
-        subspaces=specs,
-        mode=fields.get("mode", "linear"),
-        method=fields.get("method", "simultaneous"),
-        k_max=fields.get("k_max", 10),
-        seed=fields.get("seed", 0),
-        starts=[np.array(row, dtype=float) for _, row in starts],
-        random_starts=fields.get("random_starts", 0),
-        checks=fields.get("checks", ()),
-    )
+    scenario = Scenario(subspaces=specs, starts=[np.array(row, dtype=float) for _, row in starts],
+                        **fields)
     validate_scenario(scenario)
     return scenario
 

@@ -4,10 +4,9 @@ A subspace is represented by an orthonormal basis matrix; the trivial
 subspace (zero columns) is a first-class value whose projector is the zero
 matrix.  Bases are never canonicalized beyond orthonormality: two bases of
 the same subspace may differ by a rotation, so every comparison is made
-with a rotation-invariant quantity.  Equality is decided at projector
-level, where the representation is unique; containment is decided at basis
-level by the residual ||Q_o - Q_s (Q_s^T Q_o)||, which equals the
-projector-level ||P_s P_o - P_o|| without forming n x n matrices.
+with a rotation-invariant quantity.  Containment is decided at basis level
+by the residual ||Q_o - Q_s (Q_s^T Q_o)||, which equals the projector-level
+||P_s P_o - P_o|| without forming n x n matrices.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ __all__ = ["Subspace", "Family", "intersection", "reduced_component", "PROJECTOR
 
 # Orthonormality required of any basis handed to the constructor.
 ORTHONORMALITY_TOL = 1e-12
-# Projector-level comparisons (equality, containment) use one order more
+# The containment test, a projector-level comparison, uses one order more
 # slack than the kernel accuracy.
 PROJECTOR_EQ_TOL = 1e-10
 
@@ -95,11 +94,6 @@ class Subspace:
             raise InputError(f"block has {v.shape[0]} rows, expected {self.ambient_dim}")
         return self.basis @ (self.basis.T @ v)
 
-    def orth_complement(self) -> "Subspace":
-        """The orthogonal complement; its projector is I - P."""
-        comp = null_space(self.basis.T) if self.dim else np.eye(self.ambient_dim)
-        return Subspace(comp)
-
     def contains(self, other: "Subspace") -> bool:
         """Whether ``other`` is contained in this subspace.
 
@@ -112,12 +106,6 @@ class Subspace:
             return True
         Q_s, Q_o = self.basis, other.basis
         return spectral_norm(Q_o - Q_s @ (Q_s.T @ Q_o)) <= PROJECTOR_EQ_TOL
-
-    def same_as(self, other: "Subspace") -> bool:
-        """Projector-level equality, to PROJECTOR_EQ_TOL."""
-        if other.ambient_dim != self.ambient_dim:
-            raise InputError("ambient dimensions differ")
-        return spectral_norm(self.projector() - other.projector()) <= PROJECTOR_EQ_TOL
 
 
 def intersection(subspaces) -> Subspace:

@@ -14,11 +14,13 @@ from projbounds import (
     null_space,
     optimal_bound_simultaneous,
     simultaneous_operator,
+    spectral_norm,
     symmetric_norm,
     verify_error_identity,
 )
 from projbounds.angles import optimal_rate
 from projbounds.methods import exponents, powers, sweep
+from projbounds.subspaces import PROJECTOR_EQ_TOL
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -83,6 +85,24 @@ def planted_pair(rng: np.random.Generator, theta_deg: float, n: int, shared_dim:
     M1 = Subspace.from_spanning(Q @ np.column_stack([shared, u1]))
     M2 = Subspace.from_spanning(Q @ np.column_stack([shared, u2]))
     return M1, M2
+
+
+def same_subspace(A: Subspace, B: Subspace) -> bool:
+    """Test-only equality of two subspaces of one R^n: their projectors
+    agree to PROJECTOR_EQ_TOL, whatever their bases."""
+    assert A.ambient_dim == B.ambient_dim
+    return spectral_norm(A.projector() - B.projector()) <= PROJECTOR_EQ_TOL
+
+
+def orth_complement(S: Subspace) -> Subspace:
+    """Test-only: the orthogonal complement of S, the kernel of its basis
+    transpose (the full space when S is trivial)."""
+    return Subspace(null_space(S.basis.T) if S.dim else np.eye(S.ambient_dim))
+
+
+def distance_to(V, x) -> float:
+    """Test-only: ||x - V.project(x)||, which is 0 exactly when x lies on V."""
+    return float(np.linalg.norm(x - V.project(x)))
 
 
 def stacked_intersection(subspaces) -> Subspace:

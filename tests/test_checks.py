@@ -4,6 +4,7 @@ each family's intersection once."""
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -90,12 +91,12 @@ class TestPairsOnly:
     def test_override_on_three_subspaces_rejected(self, name):
         s = generate_random(3, 6, [3, 3, 3], seed=1)
         with pytest.raises(InputError, match="exactly two"):
-            run_scenario(s, checks_override=(name,))
+            run_scenario(replace(s, checks=(name,)))
 
     def test_unknown_override_rejected(self):
         s = generate_random(2, 4, [2, 2], seed=1)
         with pytest.raises(InputError, match="unknown check"):
-            run_scenario(s, checks_override=("sparkle",))
+            run_scenario(replace(s, checks=("sparkle",)))
 
 
 def no_start_scenario(checks):
@@ -110,11 +111,9 @@ class TestNeedsStart:
     def test_run_scenario_rejects_no_starts(self, name):
         with pytest.raises(InputError, match=f"{name}.*at least one start"):
             run_scenario(no_start_scenario((name,)))
-        s = no_start_scenario(("norm_chain",))
-        with pytest.raises(InputError, match=f"{name}.*at least one start"):
-            run_scenario(s, checks_override=(name,))
+        s = no_start_scenario((name,))
         s.starts = [np.ones(6)]
-        assert run_scenario(s, checks_override=(name,)).all_passed()
+        assert run_scenario(s).all_passed()
 
     def test_verify_scenario_without_starts_exits_2(self, tmp_path, capsys):
         path = tmp_path / "no-starts.scenario"
@@ -148,7 +147,7 @@ class TestIntersectionsPerRun:
     @pytest.mark.parametrize("method", ["simultaneous", "cyclic"])
     def test_affine_pair(self, intersection_calls, method):
         s = affine_pair(0, method)
-        rep = run_scenario(s, checks_override=verify_checks(2))
+        rep = run_scenario(replace(s, checks=tuple(verify_checks(2))))
         assert rep.all_passed() and len(rep.traces) == 2
         assert len(intersection_calls) <= 3
 
@@ -176,7 +175,7 @@ def test_friedrichs_calls_do_not_grow_with_k_max(friedrichs_calls):
     for k_max in (5, 30):
         friedrichs_calls.clear()
         s = generate_two_subspace(50.0, 8, 2, seed=0, k_max=k_max)
-        assert run_scenario(s, checks_override=("kw", "compare")).all_passed()
+        assert run_scenario(replace(s, checks=("kw", "compare"))).all_passed()
         counts.append(dict(friedrichs_calls))
     assert counts[0] == counts[1]
     assert counts[0]["cos_two"] >= 1 and counts[0]["friedrichs_gram"] >= 1

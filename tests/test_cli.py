@@ -86,6 +86,13 @@ class TestRun:
         rows = result.stdout.strip().splitlines()[1:]
         assert len(rows) == 2 * 4
 
+    @pytest.mark.parametrize("command", ["run", "analyze", "verify"])
+    def test_kmax_below_one_exits_2(self, scenario_file, command, capsys):
+        code = cli.main([command, "--scenario", str(scenario_file), "--kmax", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "k_max" in err and "Traceback" not in err
+
     def test_negative_seed_exits_2(self, scenario_file):
         result = run_cli("run", "--scenario", str(scenario_file), "--seed", "-1")
         assert result.returncode == 2

@@ -13,6 +13,7 @@ from projbounds import (
     error_operator_norm,
     iterate,
     kw_bound,
+    methods,
     optimal_bound_simultaneous,
     simultaneous_operator,
     spectral_norm,
@@ -150,6 +151,24 @@ class TestIterate:
             assert trace.max_violation() <= 1e-10
             if T.kind == "simultaneous":
                 assert (np.diff(trace.errors) <= 1e-12).all()
+
+    def test_rate_computed_once_per_operator(self, monkeypatch):
+        calls = []
+
+        def counting(A):
+            calls.append(1)
+            return spectral_norm(A)
+
+        monkeypatch.setattr(methods, "spectral_norm", counting)
+        rng = np.random.default_rng(47)
+        subs = random_family(rng, 3, 8)
+        T = cyclic_operator(subs)
+        for _ in range(3):
+            x = rng.standard_normal(8)
+            trace = iterate(T, x, 5)
+            assert np.array_equal(trace.bounds, T.rate ** np.arange(6) * np.linalg.norm(x))
+        assert len(calls) == 1
+        assert T.rate == spectral_norm(T.matrix - T.limit_projector)
 
 
 class TestErrorOperatorNorm:

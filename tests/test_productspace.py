@@ -23,6 +23,7 @@ from helpers import (
     lines_exact_60,
     orthogonal_axes,
     random_family,
+    same_subspace,
     triple_at_120,
 )
 
@@ -37,7 +38,7 @@ class TestBuildProduct:
     def test_full_factors(self):
         model = build_product([Subspace.full(2), Subspace.full(2)])
         assert model.C.dim == 4
-        assert intersection([model.C, model.D]).same_as(model.D)
+        assert same_subspace(intersection([model.C, model.D]), model.D)
 
     def test_trivial_factors(self):
         model = build_product([Subspace.trivial(2), Subspace.trivial(2)])
@@ -60,7 +61,7 @@ class TestBuildProduct:
         assert CD.dim == common.dim
         if common.dim:
             lifted = np.vstack([common.basis] * 3) / np.sqrt(3.0)
-            assert CD.same_as(Subspace(lifted))
+            assert same_subspace(CD, Subspace(lifted))
 
     def test_rejects_mixed_dims(self):
         with pytest.raises(InputError):

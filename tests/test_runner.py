@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,20 +121,18 @@ class TestRunScenario:
         assert rep.all_passed()
 
     def test_analyze_mode_suppresses_traces(self):
-        rep = run_scenario(
-            parse_scenario(LINES_60),
-            include_traces=False,
-            checks_override=("norm_chain", "kw", "compare"),
-        )
+        s = replace(parse_scenario(LINES_60), starts=[], random_starts=0,
+                    checks=("norm_chain", "kw", "compare"))
+        rep = run_scenario(s)
         assert rep.traces == []
         assert {c.name for c in rep.check_outcomes} == {"norm_chain", "kw", "compare"}
         assert rep.all_passed()
 
     def test_every_requested_check_reported(self):
-        rep = run_scenario(parse_scenario(LINES_60))
-        assert [c.name for c in rep.check_outcomes] == list(
-            parse_scenario(LINES_60).checks
-        )
+        s = parse_scenario(LINES_60)
+        rep = run_scenario(s)
+        assert [c.name for c in rep.check_outcomes] == list(s.checks)
+        assert rep.scenario is s
 
     @pytest.mark.xfail(strict=True, raises=ContainmentError,
                        reason="near-coincident pair: the intersection's relative rank cutoff "
@@ -162,8 +161,8 @@ class TestEmission:
         assert len(lines) == 1 + 3  # one start, k = 0, 1, 2
 
     def test_csv_header_only_without_traces(self):
-        rep = run_scenario(parse_scenario(LINES_60), include_traces=False,
-                           checks_override=())
+        rep = run_scenario(replace(parse_scenario(LINES_60), starts=[], random_starts=0,
+                                   checks=()))
         lines = render_report(rep, "csv").strip().splitlines()
         assert lines == ["scenario,start_index,k,error,bound,ratio"]
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from projbounds import (
     generate_two_subspace,
     parse_scenario,
 )
+from projbounds.scenario import Scenario
 
 MINIMAL = """\
 projscenario v1
@@ -52,6 +55,13 @@ class TestParse:
         assert s.mode == "linear" and s.method == "simultaneous"
         assert s.k_max == 10  # default
         assert s.subspaces[0].spanning.shape == (2, 1)
+
+    def test_missing_keys_take_the_dataclass_defaults(self):
+        s = parse_scenario(MINIMAL.replace("name: minimal\n", ""))
+        fields = {f.name: f for f in dataclasses.fields(Scenario)}
+        for key in ("name", "mode", "method", "k_max", "seed", "random_starts", "checks"):
+            assert getattr(s, key) == fields[key].default
+        assert s.name == "unnamed"
 
     def test_affine_with_anchors_and_starts(self):
         s = parse_scenario(AFFINE)
