@@ -18,8 +18,9 @@ common intersection.  Three routes are provided:
 * ``principal_angle`` - two-subspace route via the cross-Gram of reduced
                         bases.
 
-When every reduced part M_i intersect M-perp is trivial, the supremum
-ranges over an empty set.  By convention the value is then 0 with the
+When every reduced part M_i intersect M-perp is trivial, that is when
+every M_i equals M (:attr:`Family.degenerate`), the supremum ranges over
+an empty set.  By convention the value is then 0 with the
 ``degenerate`` flag set; the norm-inversion route refuses such input
 because the inversion formula does not cover it.
 """
@@ -45,6 +46,7 @@ __all__ = [
     "optimal_rate",
 ]
 
+# The report's keys for the three routes.
 ROUTE_GRAM = "gram_block"
 ROUTE_NORM = "norm_inversion"
 ROUTE_PRINCIPAL = "principal_angle"
@@ -52,7 +54,7 @@ ROUTE_PRINCIPAL = "principal_angle"
 
 @dataclass(frozen=True)
 class FriedrichsResult:
-    """A Friedrichs number in [0, 1] plus provenance.
+    """A Friedrichs number in [0, 1] and its degeneracy flag.
 
     ``value`` is clamped to [0, 1]; ``raw`` keeps the unclamped number so
     strict inequalities (value < 1 on non-degenerate finite-dimensional
@@ -61,7 +63,6 @@ class FriedrichsResult:
 
     value: float
     degenerate: bool
-    route: str
     raw: float
 
     def __post_init__(self) -> None:
@@ -71,9 +72,8 @@ class FriedrichsResult:
             raise InputError("degenerate results must carry value 0")
 
 
-def _clamped(raw: float, degenerate: bool, route: str) -> FriedrichsResult:
-    value = min(max(raw, 0.0), 1.0)
-    return FriedrichsResult(value=value, degenerate=degenerate, route=route, raw=raw)
+def _clamped(raw: float, degenerate: bool = False) -> FriedrichsResult:
+    return FriedrichsResult(value=min(max(raw, 0.0), 1.0), degenerate=degenerate, raw=raw)
 
 
 def optimal_rate(friedrichs: FriedrichsResult, r: int) -> float:
@@ -100,9 +100,8 @@ def cos_two(M1: Subspace | Family, M2: Subspace | None = None) -> FriedrichsResu
         raise InputError(f"cos_two takes exactly two subspaces, got {len(pair)}")
     r1, r2 = pair.reduced
     if r1.dim == 0 or r2.dim == 0:
-        return _clamped(0.0, True, ROUTE_PRINCIPAL)
-    raw = spectral_norm(r1.basis.T @ r2.basis)
-    return _clamped(raw, False, ROUTE_PRINCIPAL)
+        return _clamped(0.0, True)
+    return _clamped(spectral_norm(r1.basis.T @ r2.basis))
 
 
 def friedrichs_gram(subspaces) -> FriedrichsResult:
@@ -114,17 +113,15 @@ def friedrichs_gram(subspaces) -> FriedrichsResult:
         (lambda_max(B^T B) - 1) / (r - 1),
 
     clamped to [0, 1].  Components with trivial reduced part contribute no
-    columns but still count toward r.  Degenerate when every reduced part
-    is trivial.
+    columns but still count toward r.  Degenerate exactly when the family
+    is (:attr:`Family.degenerate`).
     """
     fam = Family.of(subspaces, 2)
-    blocks = [R.basis for R in fam.reduced if R.dim > 0]
-    if not blocks:
-        return _clamped(0.0, True, ROUTE_GRAM)
-    B = np.hstack(blocks)
+    if fam.degenerate:
+        return _clamped(0.0, True)
+    B = np.hstack([R.basis for R in fam.reduced])
     lam_max = float(np.linalg.eigvalsh(B.T @ B)[-1])
-    raw = (lam_max - 1.0) / (len(fam) - 1.0)
-    return _clamped(raw, False, ROUTE_GRAM)
+    return _clamped((lam_max - 1.0) / (len(fam) - 1.0))
 
 
 def friedrichs_from_norm(subspaces) -> FriedrichsResult:
@@ -135,18 +132,17 @@ def friedrichs_from_norm(subspaces) -> FriedrichsResult:
 
         || (1/r) sum_i P_i  -  P_M ||  =  (r-1)/r * cos(M_1,...,M_r) + 1/r,
 
-    solved for the cosine.  Raises DegenerateError when every M_i equals M,
-    because the left side is then 0 and the inversion formula does not
-    apply (it would report a spurious negative value).
+    solved for the cosine.  Raises DegenerateError on a degenerate family
+    (:attr:`Family.degenerate`, every M_i equal to M), because the left side
+    is then 0 and the inversion formula does not apply (it would report a
+    spurious negative value).
     """
     fam = Family.of(subspaces, 2)
     r = len(fam)
-    common = fam.intersection
-    if all(S.dim == common.dim for S in fam):
+    if fam.degenerate:
         raise DegenerateError(
             "every subspace equals the intersection; the norm identity "
             "does not determine a Friedrichs number here"
         )
-    nu = symmetric_norm(fam.averaged_projector - common.projector())
-    raw = (r * nu - 1.0) / (r - 1.0)
-    return _clamped(raw, False, ROUTE_NORM)
+    nu = symmetric_norm(fam.averaged_projector - fam.intersection.projector())
+    return _clamped((r * nu - 1.0) / (r - 1.0))

@@ -17,7 +17,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .angles import FriedrichsResult
 from .errors import DegenerateError, InputError
 from .methods import (
     IterationTrace,
@@ -44,7 +43,6 @@ class CheckInputs:
     per-link worst residuals to ``chain_residuals``."""
 
     family: Family
-    gram: FriedrichsResult
     k_max: int
     starts: list[np.ndarray]
     traces: list[IterationTrace] = field(default_factory=list)
@@ -61,7 +59,7 @@ def _norm_chain(run: CheckInputs) -> tuple[float, str]:
     # is built.
     try:
         profile = chain_residual_profile(
-            run.family if run.gram.degenerate else run.product, range(1, run.k_max + 1)
+            run.family if run.family.degenerate else run.product, range(1, run.k_max + 1)
         )
     except DegenerateError as exc:
         run.chain_residuals = [0.0] * 5

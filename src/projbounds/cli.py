@@ -47,12 +47,16 @@ def _write(text: str, out: str | None) -> None:
             handle.write(text)
 
 
+def _given(**values) -> dict:
+    """The keyword arguments whose flag was given; a flag left out defaults
+    to None, so the callee's own default holds."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
 def _load_scenario(args):
     """The scenario file with ``--kmax`` and ``--seed`` applied; run_scenario
     validates the result."""
-    overrides = {"k_max": args.kmax, "seed": args.seed}
-    return replace(parse_scenario(args.scenario),
-                   **{key: value for key, value in overrides.items() if value is not None})
+    return replace(parse_scenario(args.scenario), **_given(k_max=args.kmax, seed=args.seed))
 
 
 def _emit_and_score(report, args) -> int:
@@ -79,22 +83,20 @@ def _cmd_verify(args) -> int:
         scenario = _load_scenario(args)
         scenario = replace(scenario, checks=suite_checks(scenario.r))
         return _emit_and_score(run_scenario(scenario), args)
-    doc = verify_battery(seed=args.seed if args.seed is not None else 0,
-                         count=args.count,
-                         kmax_cap=args.kmax if args.kmax is not None else 10)
+    doc = verify_battery(**_given(seed=args.seed, count=args.count, kmax_cap=args.kmax))
     _write(render_battery(doc), args.out)
     return 0 if doc["passed"] else 1
 
 
 def _cmd_generate(args) -> int:
+    fields = _given(k_max=args.kmax, method=args.method)
     if args.kind == "two-subspace":
         scenario = generate_two_subspace(
             theta_deg=args.theta,
             ambient_dim=args.dim,
             shared_dim=args.shared_dim,
             seed=args.seed,
-            k_max=args.kmax,
-            method=args.method,
+            **fields,
         )
     else:
         try:
@@ -106,8 +108,7 @@ def _cmd_generate(args) -> int:
             ambient_dim=args.dim,
             dims=dims,
             seed=args.seed,
-            k_max=args.kmax,
-            method=args.method,
+            **fields,
         )
     _write(format_scenario(scenario), args.out)
     return 0
@@ -133,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="full identity suite")
     p_verify.add_argument("--scenario", default=None,
                           help="verify one scenario instead of the random battery")
-    p_verify.add_argument("--count", type=int, default=100,
+    p_verify.add_argument("--count", type=int, default=None,
                           help="battery size (ignored with --scenario)")
     _add_common(p_verify, formats=("json",))
     p_verify.set_defaults(func=_cmd_verify)
@@ -146,8 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g_two.add_argument("--dim", type=int, required=True, help="ambient dimension")
     g_two.add_argument("--shared-dim", dest="shared_dim", type=int, default=0)
     g_two.add_argument("--seed", type=int, default=0)
-    g_two.add_argument("--kmax", type=int, default=10)
-    g_two.add_argument("--method", choices=METHODS, default="simultaneous")
+    g_two.add_argument("--kmax", type=int, default=None)
+    g_two.add_argument("--method", choices=METHODS, default=None)
     g_two.add_argument("--out", default=None)
     g_two.set_defaults(func=_cmd_generate, kind="two-subspace")
 
@@ -156,8 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g_rand.add_argument("--dim", type=int, required=True)
     g_rand.add_argument("--dims", required=True, help="comma-separated dimensions, one per subspace")
     g_rand.add_argument("--seed", type=int, default=0)
-    g_rand.add_argument("--kmax", type=int, default=10)
-    g_rand.add_argument("--method", choices=METHODS, default="simultaneous")
+    g_rand.add_argument("--kmax", type=int, default=None)
+    g_rand.add_argument("--method", choices=METHODS, default=None)
     g_rand.add_argument("--out", default=None)
     g_rand.set_defaults(func=_cmd_generate, kind="random")
 

@@ -125,16 +125,16 @@ def chain_residual_profile(subspaces, k_values) -> np.ndarray:
     intersect D lies in D, so ||A_k|| = ||A_k Q_D||, the largest singular
     value of the n*r x n block (P_D P_C)^k Q_D - P_CD Q_D (the walk
     starts in D, where P_D P_C is the sandwiched operator); the fifth
-    member is the k = 1 value to the k.  ``subspaces`` may be a
-    model from :func:`build_product`; otherwise degeneracy is decided
-    before the product space is built.  ``k_values`` is one integer >= 1
-    or a nonempty 1-d collection of them (:func:`methods.exponents`).
+    member is the k = 1 value to the k.  ``subspaces`` may be a model
+    from :func:`build_product`; a degenerate family (:attr:`Family.degenerate`)
+    raises DegenerateError before any product space is built.  ``k_values``
+    is one integer >= 1 or a nonempty 1-d collection of them
+    (:func:`methods.exponents`).
     """
     ks = exponents(k_values)
     model = subspaces if isinstance(subspaces, ProductSpaceModel) else None
     fam = model.family if model else Family.of(subspaces, 2)
-    fr = friedrichs_gram(fam)
-    if fr.degenerate:
+    if fam.degenerate:
         raise DegenerateError(
             "every subspace equals the intersection: all six chain members "
             "are identically zero and the chain holds trivially"
@@ -142,7 +142,7 @@ def chain_residual_profile(subspaces, k_values) -> np.ndarray:
     T = fam.averaged_projector
     P_M = fam.intersection.project(np.eye(fam.ambient_dim))
     one_step = symmetric_norm(T - P_M)
-    q = optimal_rate(fr, len(fam))
+    q = optimal_rate(friedrichs_gram(fam), len(fam))
     model = model or build_product(fam)
     c_prod = cos_CD(model)
     norms = sweep(ks, lambda Tk: symmetric_norm(Tk - P_M), powers(T))

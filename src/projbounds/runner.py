@@ -139,7 +139,7 @@ def run_scenario(s: Scenario) -> Report:
             report.wall_time_s = time.perf_counter() - t0
             return report
 
-    inputs = CheckInputs(family, gram, s.k_max, list(s.starts) + _random_starts(s))
+    inputs = CheckInputs(family, s.k_max, list(s.starts) + _random_starts(s))
 
     if inputs.starts:
         if affine is not None:
@@ -216,10 +216,11 @@ def _battery_scenario(index: int, child: np.random.SeedSequence, kmax_cap: int) 
     k_max = int(rng.integers(1, kmax_cap + 1))
     spans = [rng.standard_normal((n, d)) for d in dims]
     seed = int(rng.integers(0, 2**31))
-    return Scenario.generated(f"battery-{index:03d}", n, spans, seed, k_max, METHODS[index % 3])
+    return Scenario.generated(f"battery-{index:03d}", n, spans, seed, k_max=k_max,
+                              method=METHODS[index % 3])
 
 
-def verify_battery(seed: int, count: int = 100, kmax_cap: int = 10) -> dict:
+def verify_battery(seed: int = 0, count: int = 100, kmax_cap: int = 10) -> dict:
     """Run the full identity suite over seeded random instances.
 
     Returns the aggregate verification document (JSON-ready).  Determinism:

@@ -120,12 +120,12 @@ class Scenario:
         return len(self.subspaces)
 
     @classmethod
-    def generated(cls, name: str, n: int, spans, seed: int, k_max: int, method: str):
+    def generated(cls, name: str, n: int, spans, seed: int, **fields):
         """A generated scenario: the subspaces spanned by ``spans``, two
-        random starts, and every check the table allows on them."""
+        random starts, and every check the table allows on them; ``fields``
+        (``k_max``, ``method``) set the rest, else their defaults hold."""
         return cls(name=name, ambient_dim=n, subspaces=[SubspaceSpec(spanning=M) for M in spans],
-                   method=method, k_max=k_max, seed=seed, random_starts=2,
-                   checks=applicable_checks(len(spans)))
+                   seed=seed, random_starts=2, checks=applicable_checks(len(spans)), **fields)
 
 
 def _fail(lineno: int | None, message: str):
@@ -271,7 +271,7 @@ def parse_scenario(source) -> Scenario:
                 current = None
                 collector = starts
                 collector_kind = "starts"
-        elif m and not re.match(r"^[+-.\d]", line):
+        elif m:
             _fail(lineno, f"unknown key {m.group(1)!r}")
         else:
             row = _parse_row(line, lineno)
@@ -348,20 +348,15 @@ def _rotation(rng: np.random.Generator, n: int) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
-def generate_two_subspace(
-    theta_deg: float,
-    ambient_dim: int,
-    shared_dim: int,
-    seed: int,
-    k_max: int = 10,
-    method: str = "simultaneous",
-) -> Scenario:
+def generate_two_subspace(theta_deg: float, ambient_dim: int, shared_dim: int, seed: int,
+                          **fields) -> Scenario:
     """A pair of subspaces with a planted Friedrichs angle.
 
     Builds M_1 and M_2 of dimension shared_dim + 1 that share an exact
     shared_dim-dimensional intersection, with reduced parts meeting at the
     prescribed angle, then conjugates everything by a seeded random
     rotation.  The recovered cosine matches cos(theta) to 1e-10.
+    ``fields`` (``k_max``, ``method``) go to :meth:`Scenario.generated`.
     """
     if not 0.0 < theta_deg <= 90.0:
         raise InputError(f"theta_deg must lie in (0, 90], got {theta_deg}")
@@ -379,21 +374,15 @@ def generate_two_subspace(
     Q = _rotation(rng, n)
     spans = [Q @ np.column_stack([shared, u1]), Q @ np.column_stack([shared, u2])]
     return Scenario.generated(f"two-subspace-theta{theta_deg:g}-n{n}-s{s}-seed{seed}", n,
-                              spans, seed, k_max, method)
+                              spans, seed, **fields)
 
 
-def generate_random(
-    r: int,
-    ambient_dim: int,
-    dims,
-    seed: int,
-    k_max: int = 10,
-    method: str = "simultaneous",
-) -> Scenario:
+def generate_random(r: int, ambient_dim: int, dims, seed: int, **fields) -> Scenario:
     """A family of r seeded random subspaces with the given dimensions.
 
     Deterministic for a fixed seed: running twice yields identical
-    scenarios.
+    scenarios.  ``fields`` (``k_max``, ``method``) go to
+    :meth:`Scenario.generated`.
     """
     if r < 2:
         raise InputError(f"r must be at least 2, got {r}")
@@ -407,4 +396,4 @@ def generate_random(
             raise InputError(f"each dimension must lie in [0, {n}], got {d}")
     rng = np.random.default_rng(seed)
     spans = [rng.standard_normal((n, d)) for d in dims]
-    return Scenario.generated(f"random-r{r}-n{n}-seed{seed}", n, spans, seed, k_max, method)
+    return Scenario.generated(f"random-r{r}-n{n}-seed{seed}", n, spans, seed, **fields)

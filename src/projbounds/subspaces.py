@@ -138,25 +138,28 @@ def reduced_component(Mi: Subspace, M: Subspace) -> Subspace:
     """The part of ``Mi`` orthogonal to a contained subspace ``M``.
 
     Requires M to be contained in Mi; the result R satisfies the orthogonal
-    decomposition P_Mi = P_M + P_R.  Since M is contained in Mi, the image
-    (I - P_M) Mi spans exactly that component and its nonzero singular
-    values are all 1, so the basis extraction is perfectly conditioned.
+    decomposition P_Mi = P_M + P_R, so dim R = dim Mi - dim M exactly.  That
+    count, not a rank decision, sizes R: its basis is the leading left
+    singular vectors of the residual (I - P_M) Q_i, whose nonzero singular
+    values are all 1.  When Mi equals M the residual is rounding noise
+    throughout, and a cutoff relative to its own largest value would count
+    some of that noise as rank.
     """
     if not Mi.contains(M):
         raise ContainmentError("M is not contained in Mi")
-    if Mi.dim == 0:
+    if Mi.dim == M.dim:
         return Subspace.trivial(Mi.ambient_dim)
     residual = Mi.basis - M.basis @ (M.basis.T @ Mi.basis)
-    return Subspace(orthonormal_basis(residual))
+    return Subspace(np.linalg.svd(residual, full_matrices=False)[0][:, : Mi.dim - M.dim])
 
 
 @dataclass(frozen=True, eq=False)
 class Family:
     """A nonempty family M_1, ..., M_r of subspaces of one R^n, validated once.
 
-    The intersection, the reduced components and the averaged projector
-    are computed on first use and kept.  Iterating a family
-    yields its members.
+    The intersection, the reduced components, whether the family is
+    degenerate and the averaged projector are computed on first use and
+    kept.  Iterating a family yields its members.
     """
 
     members: tuple[Subspace, ...]
@@ -198,6 +201,12 @@ class Family:
     def reduced(self) -> tuple[Subspace, ...]:
         """The reduced components M_i intersect M-perp, in member order."""
         return tuple(reduced_component(S, self.intersection) for S in self)
+
+    @cached_property
+    def degenerate(self) -> bool:
+        """Whether every member equals the intersection, so that every
+        reduced component is trivial and the error operators vanish."""
+        return all(S.dim == self.intersection.dim for S in self)
 
     @cached_property
     def averaged_projector(self) -> np.ndarray:

@@ -10,6 +10,8 @@ from projbounds import (
     friedrichs_from_norm,
     friedrichs_gram,
 )
+from projbounds.runner import run_scenario
+from projbounds.scenario import Scenario
 from helpers import (
     lines_at,
     lines_exact_60,
@@ -216,3 +218,53 @@ class TestRangeAndInvariance:
             assert cos_two(M1, M2).value == pytest.approx(
                 abs(np.cos(np.deg2rad(theta))), abs=1e-12
             )
+
+
+def coincident_spans(n: int, d: int):
+    """Two spanning sets of one random d-dimensional subspace of R^n."""
+    rng = np.random.default_rng([n, d])
+    A = rng.standard_normal((n, d))
+    return A, A @ rng.standard_normal((d, d))
+
+
+class TestDegeneracy:
+    """One predicate, Family.degenerate, decides whether every member equals
+    the intersection; the reduced parts, both Friedrichs routes and the run
+    all agree with it."""
+
+    @pytest.mark.parametrize("n, d", [(200, 80), (400, 150)])
+    def test_two_bases_of_one_subspace(self, n, d):
+        # The residual (I - P_M) Q_i is rounding noise throughout here; a
+        # rank decision relative to it counted some of that noise as rank.
+        fam = Family.of([Subspace.from_spanning(A) for A in coincident_spans(n, d)])
+        assert [R.dim for R in fam.reduced] == [0, 0]
+        assert fam.degenerate and friedrichs_gram(fam).degenerate
+        with pytest.raises(DegenerateError):
+            friedrichs_from_norm(fam)
+
+    @pytest.mark.parametrize("n, d", [(200, 80), (400, 150)])
+    def test_two_bases_of_one_subspace_run(self, n, d):
+        spans = coincident_spans(n, d)
+        report = run_scenario(Scenario.generated("coincident", n, spans, 0, k_max=5, method="cyclic"))
+        assert report.q == 0.0
+        assert report.check_outcomes and report.all_passed()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_predicate_for_every_reader(self, seed):
+        # Every member is a fresh basis of one shared part plus up to two
+        # random directions; every third family adds none, so that all of
+        # its members equal the shared part.
+        rng = np.random.default_rng(1300 + seed)
+        r, n = int(rng.integers(2, 5)), int(rng.integers(6, 30))
+        shared = rng.standard_normal((n, int(rng.integers(0, n // 3 + 1))))
+        extra = [0 if seed % 3 == 0 else int(rng.integers(0, 3)) for _ in range(r)]
+        fam = Family.of([
+            Subspace.from_spanning(np.hstack([
+                shared @ rng.standard_normal((shared.shape[1],) * 2),
+                rng.standard_normal((n, e)),
+            ]))
+            for e in extra
+        ])
+        assert fam.degenerate == (max(extra) == 0)
+        assert fam.degenerate == all(R.dim == 0 for R in fam.reduced)
+        assert fam.degenerate == friedrichs_gram(fam).degenerate

@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from projbounds import cli
-from projbounds.runner import DEFAULT_TOLERANCES
+from projbounds import cli, format_scenario, generate_random
+from projbounds.runner import DEFAULT_TOLERANCES, render_battery, verify_battery
 
 
 def run_cli(*args, **kwargs):
@@ -55,6 +55,13 @@ class TestGenerate:
         result = run_cli("generate", *kind, "--seed", "-2")
         assert result.returncode == 2
         assert "seed" in result.stderr and "Traceback" not in result.stderr
+
+    def test_flags_left_out_take_the_library_defaults(self):
+        base = ("generate", "random", "--r", "2", "--dim", "5", "--dims", "2,3")
+        plain = run_cli(*base)
+        assert plain.returncode == 0
+        assert plain.stdout == format_scenario(generate_random(2, 5, [2, 3], seed=0))
+        assert run_cli(*base, "--kmax", "10", "--method", "simultaneous").stdout == plain.stdout
 
     def test_non_integer_dims_exit_2(self):
         result = run_cli("generate", "random", "--r", "2", "--dim", "4", "--dims", "2,x")
@@ -163,6 +170,11 @@ class TestVerify:
         result = run_cli("verify", "--count", "2", "--seed", "-1")
         assert result.returncode == 2
         assert "seed" in result.stderr and "Traceback" not in result.stderr
+
+    def test_battery_flags_left_out_take_the_library_defaults(self):
+        result = run_cli("verify")
+        assert result.returncode == 0
+        assert result.stdout == render_battery(verify_battery())
 
     def test_battery_document_shape(self):
         result = run_cli("verify", "--count", "3", "--seed", "8")

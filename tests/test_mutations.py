@@ -28,7 +28,7 @@ def scenario():
     rng = np.random.default_rng(2024)
     common = rng.standard_normal((N, 1))
     spans = [np.hstack([common, rng.standard_normal((N, d))]) for d in (2, 3, 2)]
-    return Scenario.generated("mutation-gate", N, spans, 7, 8, "product_alternating")
+    return Scenario.generated("mutation-gate", N, spans, 7, k_max=8, method="product_alternating")
 
 
 def failed_checks():

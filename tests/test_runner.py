@@ -141,6 +141,13 @@ class TestRunScenario:
     def test_generated_near_coincident_pair_runs(self):
         run_scenario(generate_two_subspace(1e-8, 300, 0, seed=0))
 
+    def test_pair_within_the_rank_cutoff_is_degenerate(self):
+        # A 3e-9 degree angle has sine 5.2e-11, below the intersection's
+        # cutoff, so the two lines are one line and every route says so.
+        rep = run_scenario(generate_two_subspace(3e-9, 300, 0, seed=0))
+        assert rep.friedrichs["gram_block"] == {"value": 0.0, "degenerate": True}
+        assert rep.q == 0.0 and rep.all_passed()
+
 
 class TestEmission:
     def test_json_round_trip(self):
