@@ -6,16 +6,16 @@ Two algorithmic operators act on a family M_1, ..., M_r with intersection M:
 * cyclic:        T = P_r ... P_1            (index 1 applied first)
 
 Both satisfy T P_M = P_M T = P_M, which yields the algebraic identity
-T^k - P_M = (T - P_M)^k.  All error-operator norms here are computed from
-that identity (powers of T - P_M avoid the cancellation that forming T^k
-and subtracting would suffer), while :func:`verify_error_identity` checks
-the identity itself with both sides formed independently.
+T^k - P_M = (T - P_M)^k.  Error-operator norms walk T - P_M (forming T^k
+and subtracting would cancel), while :func:`verify_error_identity` forms
+both sides independently.  Each walk starts from the n x m basis Q of the
+operator's domain, outside which every error operator E vanishes.
 
 Each function of the step count k takes either one exponent, returning a
 float, or a 1-d integer array of them, returning an array of its shape.
 Every walk to k is an :func:`orbit`, its k-th item the k-th iterate
-(:func:`powers` is the orbit of P -> P A), and :func:`sweep` reads walks
-at the wanted k; rates are computed once and raised.
+(:func:`powers` is the orbit of P -> P A, :func:`power_orbit` of X -> A X),
+and :func:`sweep` reads walks at the wanted k; rates are computed once.
 
 The optimal starting-point-independent rate of the simultaneous method is
 
@@ -96,6 +96,13 @@ class IterOperator:
         P = self.family.intersection.projector()
         P.setflags(write=False)
         return P
+
+    @property
+    def domain(self) -> np.ndarray:
+        """Orthonormal basis Q outside whose span T and P_M vanish, so every
+        error operator E = E Q Q^T: M_1's for the cyclic kind (T begins with
+        P_1, and M lies in M_1), the family's span for the simultaneous kind."""
+        return self.family.members[0].basis if self.kind == KIND_CYCLIC else self.family.span
 
     @cached_property
     def rate(self) -> float:
@@ -186,6 +193,11 @@ def powers(A: np.ndarray):
     return orbit(lambda P: P @ A, _Identity())
 
 
+def power_orbit(A: np.ndarray, X: np.ndarray):
+    """X, A X, A^2 X, ...: the orbit of X -> A X, one product per step."""
+    return orbit(lambda Z: A @ Z, X)
+
+
 def exponents(k, least: int = 1) -> np.ndarray:
     """``k`` as a 0-d (one) or 1-d (several, any order, repeats allowed)
     integer array; InputError unless every exponent is an integer >= ``least``."""
@@ -219,14 +231,21 @@ def _per_k(ks: np.ndarray, value_at):
     return np.array([value_at(k) for k in ks.tolist()], dtype=float)
 
 
-def error_operator_norm(T: IterOperator, k):
-    """|| T^k - P_M ||, computed as the norm of (T - P_M)^k.
+def _block_norm(Z: np.ndarray) -> float:
+    """||Z||, or 0.0 for a block of no columns (a walk of a trivial domain)."""
+    return spectral_norm(Z) if Z.shape[1] else 0.0
 
-    Powering the difference operator keeps full relative accuracy even when
-    T^k is already close to P_M; k = 0 is excluded by contract.
+
+def error_operator_norm(T: IterOperator, k):
+    """|| T^k - P_M ||, computed as the norm of (T - P_M)^k Q.
+
+    (T - P_M)^k vanishes outside ``T.domain``, whose basis is Q.  Walking
+    the difference operator keeps full relative accuracy even when T^k is
+    already close to P_M; k = 0 is excluded by contract.
     """
     ks = exponents(k)
-    return _per_k(ks, sweep(ks, spectral_norm, powers(T.matrix - T.limit_projector)).get)
+    walk = power_orbit(T.matrix - T.limit_projector, T.domain)
+    return _per_k(ks, sweep(ks, _block_norm, walk).get)
 
 
 def optimal_bound_simultaneous(subspaces, k):
@@ -272,13 +291,12 @@ def cyclic_bound(subspaces, k):
 def verify_error_identity(T: IterOperator, k):
     """Residual || (T^k - P_M) - (T - P_M)^k || with independent sides.
 
-    The left side powers T and subtracts P_M; the right side powers
-    T - P_M.  Agreement of the two is evidence for the absorption
-    identity, not a tautology.
+    Both sides vanish outside ``T.domain``, so both walk its basis Q: the
+    left side through T, minus P_M Q; the right through T - P_M.  Agreement
+    of the two is evidence for the absorption identity, not a tautology.
     """
     ks = exponents(k)
-    P = T.limit_projector
-    residuals = sweep(
-        ks, lambda Tk, Ek: spectral_norm((Tk - P) - Ek), powers(T.matrix), powers(T.matrix - P)
-    )
+    Q, P = T.domain, T.limit_projector
+    PQ, walks = P @ Q, (power_orbit(T.matrix, Q), power_orbit(T.matrix - P, Q))
+    residuals = sweep(ks, lambda TkQ, EkQ: _block_norm((TkQ - PQ) - EkQ), *walks)
     return _per_k(ks, residuals.get)

@@ -16,7 +16,7 @@ central identity checked here is the five-link chain
 with T the averaged projector and P_CD the projector onto C intersect D.
 P_C, P_D and P_CD act through the bases of C, D and C intersect D, never
 as n*r x n*r matrices; the two product-operator members are norms of
-n*r x n blocks (see :func:`chain_residual_profile`).
+n*r x m blocks, m <= min(n, dim C) (see :func:`chain_residual_profile`).
 
 On the inner product: the product space is often equipped with the
 averaged form <x, y> = (1/r) sum_i <x_i, y_i>.  That is a uniform positive
@@ -120,12 +120,13 @@ def chain_residual_profile(subspaces, k_values) -> np.ndarray:
     :func:`methods.powers` of T, read by :func:`methods.sweep`), the
     single-step norm to the k, the Friedrichs-formula rate, the
     product-space angle, and the two product-operator members, which come
-    from one orbit of D's basis Q_D through the lifted step.
-    A_k = (P_D P_C P_D)^k - P_CD begins and ends with P_D, and C
-    intersect D lies in D, so ||A_k|| = ||A_k Q_D||, the largest singular
-    value of the n*r x n block (P_D P_C)^k Q_D - P_CD Q_D (the walk
-    starts in D, where P_D P_C is the sandwiched operator); the fifth
-    member is the k = 1 value to the k.  ``subspaces`` may be a model
+    from one orbit through the lifted step of B = Q_D S = lift(S)/sqrt(r),
+    S the family's span.  A_k = (P_D P_C P_D)^k - P_CD equals A_k P_D
+    (C intersect D lies in D) and vanishes on the lift of
+    (M_1 + ... + M_r)-perp, which P_C and P_CD annihilate, so ||A_k|| is
+    the largest singular value of the n*r x m block (P_D P_C)^k B - P_CD B
+    (the walk starts in D, where P_D P_C is the sandwiched operator); the
+    fifth member is the k = 1 value to the k.  ``subspaces`` may be a model
     from :func:`build_product`; a degenerate family (:attr:`Family.degenerate`)
     raises DegenerateError before any product space is built.  ``k_values``
     is one integer >= 1 or a nonempty 1-d collection of them
@@ -146,8 +147,9 @@ def chain_residual_profile(subspaces, k_values) -> np.ndarray:
     model = model or build_product(fam)
     c_prod = cos_CD(model)
     norms = sweep(ks, lambda Tk: symmetric_norm(Tk - P_M), powers(T))
-    anchor = model.limit(model.D.basis)
-    walk = orbit(model.step, model.D.basis)
+    start = model.D.basis @ fam.span
+    anchor, walk = model.limit(start), orbit(model.step, start)
+    del start  # the walk frees its start block at its first step
     prod = sweep(np.append(ks, 1), lambda Z: spectral_norm(Z - anchor), walk)
     rows = [
         np.abs(np.diff([norms[k], one_step**k, q**k, c_prod ** (2 * k), prod[1] ** k, prod[k]]))

@@ -158,8 +158,8 @@ class Family:
     """A nonempty family M_1, ..., M_r of subspaces of one R^n, validated once.
 
     The intersection, the reduced components, whether the family is
-    degenerate and the averaged projector are computed on first use and
-    kept.  Iterating a family yields its members.
+    degenerate, its span and the averaged projector are computed on first
+    use and kept.  Iterating a family yields its members.
     """
 
     members: tuple[Subspace, ...]
@@ -207,6 +207,14 @@ class Family:
         """Whether every member equals the intersection, so that every
         reduced component is trivial and the error operators vanish."""
         return all(S.dim == self.intersection.dim for S in self)
+
+    @cached_property
+    def span(self) -> np.ndarray:
+        """Read-only orthonormal n x min(n, sum dim M_i) basis whose span holds
+        M_1 + ... + M_r: Q of the stacked member bases' QR, no rank decision."""
+        Q = np.linalg.qr(np.hstack([S.basis for S in self]))[0]
+        Q.setflags(write=False)
+        return Q
 
     @cached_property
     def averaged_projector(self) -> np.ndarray:

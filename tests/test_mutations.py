@@ -96,17 +96,29 @@ def walk_one_step_ahead(monkeypatch, ahead):
 
 
 def power_walk_one_step_ahead(monkeypatch, ahead):
-    """Every walk of ``methods.powers`` whose matrix A has ``ahead(A)``
-    skips its first power."""
-    real = methods.powers
+    """Every walk of ``methods.power_orbit`` whose matrix A has ``ahead(A)``
+    skips its first iterate."""
+    real = methods.power_orbit
 
-    def powers(A):
-        walk = real(A)
+    def power_orbit(A, X):
+        walk = real(A, X)
         if ahead(A):
             next(walk)
         return walk
 
-    monkeypatch.setattr(methods, "powers", powers)
+    monkeypatch.setattr(methods, "power_orbit", power_orbit)
+
+
+def span_without_last_column(monkeypatch):
+    """The product model reads a copy of the family whose span lacks its
+    last column; the lemma still reads the real family."""
+
+    def change(model):
+        family = Family(model.family.members)
+        monkeypatch.setitem(family.__dict__, "span", model.family.span[:, :-1])
+        return ProductSpaceModel(model.C, model.D, family, model.pair)
+
+    patch_product(monkeypatch, change)
 
 
 def scaled(monkeypatch, name):
@@ -136,8 +148,14 @@ FAULTS = {
         lambda mp: walk_one_step_ahead(mp, lambda x: x.ndim == 2),
         {"norm_chain"},
     ),
-    # The lemma's left side walks T, the operator's read-only matrix; its
-    # right side walks T - P_M, a difference formed afresh.
+    # The product walk starts from the lift of the family's span, which
+    # must contain every member.
+    "product walk starts from a span missing its last column": (
+        span_without_last_column,
+        {"norm_chain"},
+    ),
+    # The lemma's left side walks the domain through T, the operator's
+    # read-only matrix; its right side through T - P_M, formed afresh.
     "lemma left side: walk of T one step ahead": (
         lambda mp: power_walk_one_step_ahead(mp, lambda A: not A.flags.writeable),
         {"lemma_identity"},
