@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .checks import CHECKS, suite_checks
 from .errors import InputError, ProjBoundsError
@@ -56,7 +57,7 @@ def _given(**values) -> dict:
 def _load_scenario(args):
     """The scenario file with ``--kmax`` and ``--seed`` applied; run_scenario
     validates the result."""
-    return replace(parse_scenario(args.scenario), **_given(k_max=args.kmax, seed=args.seed))
+    return replace(parse_scenario(Path(args.scenario)), **_given(k_max=args.kmax, seed=args.seed))
 
 
 def _emit_and_score(report, args) -> int:
@@ -141,25 +142,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="write scenario files")
     gen_sub = p_gen.add_subparsers(dest="kind", required=True)
+    gen_common = argparse.ArgumentParser(add_help=False)
+    gen_common.add_argument("--seed", type=int, default=0)
+    gen_common.add_argument("--kmax", type=int, default=None)
+    gen_common.add_argument("--method", choices=METHODS, default=None)
+    gen_common.add_argument("--out", default=None)
 
-    g_two = gen_sub.add_parser("two-subspace", help="pair with a planted angle")
+    g_two = gen_sub.add_parser("two-subspace", parents=[gen_common],
+                               help="pair with a planted angle")
     g_two.add_argument("--theta", type=float, required=True, help="angle in degrees, (0, 90]")
     g_two.add_argument("--dim", type=int, required=True, help="ambient dimension")
     g_two.add_argument("--shared-dim", dest="shared_dim", type=int, default=0)
-    g_two.add_argument("--seed", type=int, default=0)
-    g_two.add_argument("--kmax", type=int, default=None)
-    g_two.add_argument("--method", choices=METHODS, default=None)
-    g_two.add_argument("--out", default=None)
     g_two.set_defaults(func=_cmd_generate, kind="two-subspace")
 
-    g_rand = gen_sub.add_parser("random", help="seeded random family")
+    g_rand = gen_sub.add_parser("random", parents=[gen_common], help="seeded random family")
     g_rand.add_argument("--r", type=int, required=True)
     g_rand.add_argument("--dim", type=int, required=True)
     g_rand.add_argument("--dims", required=True, help="comma-separated dimensions, one per subspace")
-    g_rand.add_argument("--seed", type=int, default=0)
-    g_rand.add_argument("--kmax", type=int, default=None)
-    g_rand.add_argument("--method", choices=METHODS, default=None)
-    g_rand.add_argument("--out", default=None)
     g_rand.set_defaults(func=_cmd_generate, kind="random")
 
     return parser
@@ -170,10 +169,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProjBoundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ProjBoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,8 +14,8 @@ operator's domain, outside which every error operator E vanishes.
 Each function of the step count k takes either one exponent, returning a
 float, or a 1-d integer array of them, returning an array of its shape.
 Every walk to k is an :func:`orbit`, its k-th item the k-th iterate
-(:func:`powers` is the orbit of P -> P A, :func:`power_orbit` of X -> A X),
-and :func:`sweep` reads walks at the wanted k; rates are computed once.
+(:func:`power_orbit` is the orbit of X -> A X), and :func:`sweep` reads
+walks at the wanted k; rates are computed once.
 
 The optimal starting-point-independent rate of the simultaneous method is
 
@@ -131,10 +131,6 @@ class IterationTrace:
         if self.errors.shape != self.bounds.shape:
             raise InputError("errors and bounds must have equal length")
 
-    @property
-    def k_max(self) -> int:
-        return len(self.errors) - 1
-
     def max_violation(self) -> float:
         """Largest amount by which an error exceeds its bound."""
         return float(np.max(self.errors - self.bounds))
@@ -178,19 +174,6 @@ def error_profile(x: np.ndarray, target: np.ndarray, step, k_max: int) -> np.nda
     """||x_k - target|| for k = 0..k_max, where x_0 = x and x_k = step(x_(k-1))."""
     errors = sweep(range(k_max + 1), lambda y: np.linalg.norm(y - target), orbit(step, x))
     return np.array(list(errors.values()))
-
-
-class _Identity:
-    """A^0 of a power walk: its product with A is A itself, no product taken."""
-
-    def __matmul__(self, A):
-        return A
-
-
-def powers(A: np.ndarray):
-    """A^0, A, A^2, ... as the orbit of P -> P A: A^k = A^(k-1) @ A costs
-    k - 1 products, and A^0 is a stand-in only ``@ A`` may read."""
-    return orbit(lambda P: P @ A, _Identity())
 
 
 def power_orbit(A: np.ndarray, X: np.ndarray):

@@ -40,7 +40,7 @@ import numpy as np
 
 from .angles import cos_two, friedrichs_gram, optimal_rate
 from .errors import DegenerateError, InputError
-from .methods import IterationTrace, error_profile, exponents, orbit, powers, sweep
+from .methods import IterationTrace, error_profile, exponents, orbit, power_orbit, sweep
 from .numlin import as_vector, spectral_norm, symmetric_norm
 from .subspaces import Family, Subspace
 
@@ -115,24 +115,27 @@ def chain_residual_profile(subspaces, k_values) -> np.ndarray:
 
     Row j holds the five absolute adjacent differences of the chain
     members at the j-th exponent of ``k_values``: shape (5,) for one
-    integer k, (len(k_values), 5) for a list, rows in its order.  Each
-    member is its own code path: the direct power norm (the walk
-    :func:`methods.powers` of T, read by :func:`methods.sweep`), the
-    single-step norm to the k, the Friedrichs-formula rate, the
-    product-space angle, and the two product-operator members, which come
-    from one orbit through the lifted step of B = Q_D S = lift(S)/sqrt(r),
-    S the family's span.  A_k = (P_D P_C P_D)^k - P_CD equals A_k P_D
-    (C intersect D lies in D) and vanishes on the lift of
-    (M_1 + ... + M_r)-perp, which P_C and P_CD annihilate, so ||A_k|| is
-    the largest singular value of the n*r x m block (P_D P_C)^k B - P_CD B
-    (the walk starts in D, where P_D P_C is the sandwiched operator); the
-    fifth member is the k = 1 value to the k.  ``subspaces`` may be a model
-    from :func:`build_product`; a degenerate family (:attr:`Family.degenerate`)
+    integer k, (len(k_values), 5) for a list, rows in its order.  The
+    members are ||T^k - P_M||, ||T - P_M||^k, the Friedrichs-formula rate
+    q^k, the product-space angle cos(C, D)^(2k), ||P_D P_C P_D - P_CD||^k
+    and ||(P_D P_C P_D)^k - P_CD||; the second and fifth are the k = 1
+    values of the first's and sixth's walks to the k.
+    Members 1 and 2 walk S, the family's n x m span, through T: T^k - P_M
+    is symmetric and vanishes outside M_1 + ... + M_r, which S spans, so
+    its norm is that of the m x m block S^T (T^k S - P_M S).  Members 5 and
+    6 walk B = Q_D S = lift(S)/sqrt(r) through the lifted step: A_k =
+    (P_D P_C P_D)^k - P_CD equals A_k P_D (C intersect D lies in D) and
+    vanishes on the lift of (M_1 + ... + M_r)-perp, which P_C and P_CD
+    annihilate, so ||A_k|| is the largest singular value of the n*r x m
+    block (P_D P_C)^k B - P_CD B (the walk starts in D, where P_D P_C is
+    the sandwiched operator).  ``subspaces`` may be a model from
+    :func:`build_product`; a degenerate family (:attr:`Family.degenerate`)
     raises DegenerateError before any product space is built.  ``k_values``
     is one integer >= 1 or a nonempty 1-d collection of them
     (:func:`methods.exponents`).
     """
     ks = exponents(k_values)
+    walked = np.append(ks, 1)
     model = subspaces if isinstance(subspaces, ProductSpaceModel) else None
     fam = model.family if model else Family.of(subspaces, 2)
     if fam.degenerate:
@@ -140,19 +143,18 @@ def chain_residual_profile(subspaces, k_values) -> np.ndarray:
             "every subspace equals the intersection: all six chain members "
             "are identically zero and the chain holds trivially"
         )
-    T = fam.averaged_projector
-    P_M = fam.intersection.project(np.eye(fam.ambient_dim))
-    one_step = symmetric_norm(T - P_M)
+    S = fam.span
+    P_M_S, walk = fam.intersection.project(S), power_orbit(fam.averaged_projector, S)
+    base = sweep(walked, lambda TkS: symmetric_norm(S.T @ (TkS - P_M_S)), walk)
     q = optimal_rate(friedrichs_gram(fam), len(fam))
     model = model or build_product(fam)
     c_prod = cos_CD(model)
-    norms = sweep(ks, lambda Tk: symmetric_norm(Tk - P_M), powers(T))
-    start = model.D.basis @ fam.span
+    start = model.D.basis @ S
     anchor, walk = model.limit(start), orbit(model.step, start)
     del start  # the walk frees its start block at its first step
-    prod = sweep(np.append(ks, 1), lambda Z: spectral_norm(Z - anchor), walk)
+    prod = sweep(walked, lambda Z: spectral_norm(Z - anchor), walk)
     rows = [
-        np.abs(np.diff([norms[k], one_step**k, q**k, c_prod ** (2 * k), prod[1] ** k, prod[k]]))
+        np.abs(np.diff([base[k], base[1] ** k, q**k, c_prod ** (2 * k), prod[1] ** k, prod[k]]))
         for k in ks.reshape(-1).tolist()
     ]
     return np.array(rows).reshape(ks.shape + (5,))

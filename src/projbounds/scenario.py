@@ -58,7 +58,6 @@ Example::
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -211,17 +210,12 @@ def validate_scenario(s: Scenario) -> None:
 
 
 def parse_scenario(source) -> Scenario:
-    """Parse a scenario from a path or from literal text.
+    """Parse a scenario from a file or from literal text.
 
-    ``source`` may be a Path, a path string naming an existing file, or the
-    document text itself.
+    ``source`` is a Path, whose file is read, or the document text itself;
+    a str is always text, never a path.
     """
-    if isinstance(source, Path):
-        text = source.read_text()
-    elif isinstance(source, str) and "\n" not in source and os.path.exists(source):
-        text = Path(source).read_text()
-    else:
-        text = str(source)
+    text = source.read_text() if isinstance(source, Path) else str(source)
 
     fields: dict = {}
     subspecs: list[dict] = []

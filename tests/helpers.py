@@ -19,7 +19,7 @@ from projbounds import (
     verify_error_identity,
 )
 from projbounds.angles import optimal_rate
-from projbounds.methods import exponents, powers, sweep
+from projbounds.methods import exponents
 from projbounds.subspaces import PROJECTOR_EQ_TOL
 
 SQRT2 = np.sqrt(2.0)
@@ -116,8 +116,10 @@ def stacked_intersection(subspaces) -> Subspace:
 
 
 def dense_chain_residual_profile(subspaces, k_values) -> np.ndarray:
-    """Test-only oracle: the chain residuals with members 5 and 6 taken
-    from the dense n*r x n*r matrices P_C, P_D, P_CD and P_D P_C P_D."""
+    """Test-only oracle: the chain residuals with members 1 and 2 taken
+    from the dense n x n matrices T and P_M, and members 5 and 6 from the
+    dense n*r x n*r matrices P_C, P_D, P_CD and P_D P_C P_D; every power
+    is np.linalg.matrix_power's, not a walk of the code under test."""
     ks = exponents(k_values)
     model = build_product(subspaces)
     fam = model.family
@@ -130,14 +132,10 @@ def dense_chain_residual_profile(subspaces, k_values) -> np.ndarray:
     P_CD = model.pair.intersection.projector()
     T_prod = model.D.projector() @ model.C.projector() @ model.D.projector()
     prod_one_step = symmetric_norm(T_prod - P_CD)
-
-    def direct_norms(Tk, Tpk):
-        return symmetric_norm(Tk - P_M), symmetric_norm(Tpk - P_CD)
-
-    norms = sweep(ks, direct_norms, powers(T), powers(T_prod))
     rows = []
     for k in ks.reshape(-1).tolist():
-        norm, prod = norms[k]
+        norm = symmetric_norm(np.linalg.matrix_power(T, k) - P_M)
+        prod = symmetric_norm(np.linalg.matrix_power(T_prod, k) - P_CD)
         members = [norm, one_step**k, q**k, c_prod ** (2 * k), prod_one_step**k, prod]
         rows.append(np.abs(np.diff(members)))
     return np.array(rows).reshape(ks.shape + (5,))

@@ -112,6 +112,12 @@ class TestRun:
         assert result.returncode == 2
         assert "error:" in result.stderr
 
+    def test_missing_scenario_file_exits_2(self, tmp_path):
+        result = run_cli("run", "--scenario", str(tmp_path / "missing.scenario"))
+        assert result.returncode == 2
+        assert "No such file" in result.stderr
+        assert "expected header" not in result.stderr and "Traceback" not in result.stderr
+
     def test_infeasible_affine_exits_2(self, tmp_path):
         doc = (
             "projscenario v1\nname: parallel\nambient_dim: 2\nmode: affine\n"

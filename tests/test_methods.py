@@ -19,7 +19,7 @@ from projbounds import (
     spectral_norm,
     verify_error_identity,
 )
-from projbounds.methods import KIND_CYCLIC, KIND_SIMULTANEOUS, orbit, powers, sweep
+from projbounds.methods import KIND_CYCLIC, KIND_SIMULTANEOUS, orbit, power_orbit, sweep
 from helpers import (
     k_indexed_calls,
     lines_exact_60,
@@ -396,13 +396,12 @@ class TestSweep:
         out = sweep(np.array(0), lambda x: x, counted_orbit(start, steps))
         assert out[0] is start and steps == []
 
-    def test_power_walk_is_left_to_right_products(self):
-        A = np.random.default_rng(3).standard_normal((7, 7)) / 3
-        expected = {1: A, 2: A @ A, 3: A @ A @ A, 5: A @ A @ A @ A @ A}
-        out = sweep(np.array([5, 1, 3, 2]), np.copy, powers(A))
-        assert list(out) == [1, 2, 3, 5]
-        for k, Ak in expected.items():
-            assert np.array_equal(out[k], Ak)
-        walk = powers(A)
-        next(walk)
-        assert next(walk) is A  # A^1 costs no product
+    def test_power_orbit_applies_A_from_the_left(self):
+        rng = np.random.default_rng(3)
+        A, X = rng.standard_normal((7, 7)) / 3, rng.standard_normal((7, 4))
+        expected = {0: X, 1: A @ X, 2: A @ (A @ X), 3: A @ (A @ (A @ X))}
+        expected[5] = A @ (A @ expected[3])
+        out = sweep(np.array([5, 1, 3, 0, 2]), np.copy, power_orbit(A, X))
+        assert list(out) == [0, 1, 2, 3, 5]
+        for k, AkX in expected.items():
+            assert np.array_equal(out[k], AkX)

@@ -95,10 +95,10 @@ def walk_one_step_ahead(monkeypatch, ahead):
     monkeypatch.setattr(productspace, "orbit", orbit)
 
 
-def power_walk_one_step_ahead(monkeypatch, ahead):
-    """Every walk of ``methods.power_orbit`` whose matrix A has ``ahead(A)``
+def power_walk_one_step_ahead(monkeypatch, ahead, module=methods):
+    """Every walk of ``<module>.power_orbit`` whose matrix A has ``ahead(A)``
     skips its first iterate."""
-    real = methods.power_orbit
+    real = module.power_orbit
 
     def power_orbit(A, X):
         walk = real(A, X)
@@ -106,7 +106,7 @@ def power_walk_one_step_ahead(monkeypatch, ahead):
             next(walk)
         return walk
 
-    monkeypatch.setattr(methods, "power_orbit", power_orbit)
+    monkeypatch.setattr(module, "power_orbit", power_orbit)
 
 
 def span_without_last_column(monkeypatch):
@@ -146,6 +146,12 @@ FAULTS = {
     # The chain walks D's basis, a block; Pierra's walks are of vectors.
     "chain members 5 and 6: walk of D's basis one step ahead": (
         lambda mp: walk_one_step_ahead(mp, lambda x: x.ndim == 2),
+        {"norm_chain"},
+    ),
+    # Members 1 and 2 walk the family's span through T, the chain's only
+    # power walk.
+    "chain member 1: walk of T on the span one step ahead": (
+        lambda mp: power_walk_one_step_ahead(mp, lambda A: True, productspace),
         {"norm_chain"},
     ),
     # The product walk starts from the lift of the family's span, which

@@ -314,11 +314,11 @@ def test_lifted_paths_form_no_product_projector(monkeypatch):
 
 
 def test_chain_profile_peak_memory():
-    # The chain walks powers of the n x n T and one nr x m block, the lift
-    # of the family's span (m = n here, since the dimensions sum past n),
-    # through the lifted step, so its peak is a few nr x n blocks (5.3
-    # measured, the start block freed at the first step); one nr x nr
-    # matrix would be r = 4 of them.
+    # The chain walks two blocks of the family's span S (n x m; m = n
+    # here, since the dimensions sum past n): S itself through T, and its
+    # lift, an nr x m block, through the lifted step.  Its peak is a few
+    # nr x n blocks (5.3 measured, the start block freed at the first
+    # step); one nr x nr matrix would be r = 4 of them.
     rng = np.random.default_rng(0)
     model = build_product(random_family(rng, 4, 150, [50] * 4))
     cos_CD(model)  # C intersect D is cached on the model, outside the count

@@ -135,7 +135,6 @@ class TestParse:
         p = tmp_path / "sc.txt"
         p.write_text(MINIMAL)
         assert parse_scenario(p).name == "minimal"
-        assert parse_scenario(str(p)).name == "minimal"
 
     def test_line_numbers_in_errors(self):
         text = MINIMAL.replace("0 1", "0 1 1")
