@@ -18,9 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .angles import friedrichs_gram, optimal_rate
 from .errors import InfeasibleError, InputError
-from .methods import IterationTrace, cyclic_bound, error_profile
+from .methods import KIND_CYCLIC, KIND_SIMULTANEOUS, IterationTrace, IterOperator, error_profile
 from .numlin import as_vector
 from .subspaces import Family, Subspace
 
@@ -78,8 +77,9 @@ class AffineSubspace:
 @dataclass(frozen=True, eq=False)
 class AffineFamily:
     """Affine subspaces V_1, ..., V_r of one R^n, validated through the
-    Family of their directions; the target set and the sweep rates are
-    computed on first use and kept, so that all starts share them."""
+    Family of their directions; the target set and the directions'
+    operators, whose rates the sweeps attach, are made on first use and
+    kept, so that all starts share them."""
 
     members: tuple[AffineSubspace, ...]
     directions: Family
@@ -98,13 +98,10 @@ class AffineFamily:
         return intersection_affine(self)
 
     @cached_property
-    def simultaneous_rate(self) -> float:
-        r = len(self.members)
-        return 0.0 if r == 1 else optimal_rate(friedrichs_gram(self.directions), r)
-
-    @cached_property
-    def cyclic_rate(self) -> float:
-        return 0.0 if len(self.members) == 1 else cyclic_bound(self.directions, 1)
+    def operators(self) -> dict[str, IterOperator]:
+        """The directions' operator of each kind, keyed by kind."""
+        kinds = (KIND_SIMULTANEOUS, KIND_CYCLIC)
+        return {kind: IterOperator(self.directions, kind) for kind in kinds}
 
 
 def intersection_affine(affines) -> AffineSubspace:
@@ -137,25 +134,25 @@ def intersection_affine(affines) -> AffineSubspace:
     return AffineSubspace(anchor=solution, direction=fam.directions.intersection)
 
 
-def _affine_trace(fam: AffineFamily, x0, k_max, sweep, rate) -> IterationTrace:
+def _affine_trace(fam: AffineFamily, x0, k_max, sweep, kind) -> IterationTrace:
     if k_max < 0:
         raise InputError("k_max must be nonnegative")
     target_set = fam.target
     x = as_vector(x0, "start", target_set.ambient_dim)
     errors = error_profile(x, target_set.project(x), sweep, k_max)
     scale = np.linalg.norm(x - target_set.anchor)
-    bounds = rate ** np.arange(k_max + 1) * scale
+    bounds = fam.operators[kind].rate ** np.arange(k_max + 1) * scale
     return IterationTrace(start=x, errors=errors, bounds=bounds)
 
 
 def simultaneous_affine(affines, x0, k_max: int) -> IterationTrace:
     """Averaged affine projections x <- (1/r) sum_i P_{V_i}(x).
 
-    The bound attached is q^k ||x0 - P_V(0)|| with
-    q = (r-1)/r cos(L_1, ..., L_r) + 1/r over the direction subspaces
-    (q = 0 when every direction equals the common direction, since the
-    error then vanishes after one step).  ``affines`` may be an
-    :class:`AffineFamily`, whose target set and rate are then reused.
+    The bound attached is q^k ||x0 - P_V(0)||, q = (r-1)/r cos(L_1, ...,
+    L_r) + 1/r the rate of the directions' simultaneous operator (0 when
+    every direction equals the common one: the error vanishes after one
+    step).  ``affines`` may be an :class:`AffineFamily`, whose target set
+    and operators are then reused.
     """
     fam = AffineFamily.of(affines)
     r = len(fam.members)
@@ -166,15 +163,16 @@ def simultaneous_affine(affines, x0, k_max: int) -> IterationTrace:
             acc += V.project(x)
         return acc / r
 
-    return _affine_trace(fam, x0, k_max, sweep, fam.simultaneous_rate)
+    return _affine_trace(fam, x0, k_max, sweep, KIND_SIMULTANEOUS)
 
 
 def cyclic_affine(affines, x0, k_max: int) -> IterationTrace:
     """Cyclic sweeps x <- P_{V_r}(... P_{V_1}(x) ...).
 
-    The bound attached is the reduced-projector product bound of the
-    directions times ||x0 - P_V(0)||; it is valid but not necessarily
-    attained for r > 2.  ``affines`` may be an :class:`AffineFamily`.
+    The bound attached is ||P_r' ... P_1'||^k ||x0 - P_V(0)||, the rate of
+    the directions' cyclic operator to the k; it is valid but not
+    necessarily attained for r > 2.  ``affines`` may be an
+    :class:`AffineFamily`.
     """
     fam = AffineFamily.of(affines)
 
@@ -183,4 +181,4 @@ def cyclic_affine(affines, x0, k_max: int) -> IterationTrace:
             x = V.project(x)
         return x
 
-    return _affine_trace(fam, x0, k_max, sweep, fam.cyclic_rate)
+    return _affine_trace(fam, x0, k_max, sweep, KIND_CYCLIC)

@@ -15,7 +15,9 @@ Each function of the step count k takes either one exponent, returning a
 float, or a 1-d integer array of them, returning an array of its shape.
 Every walk to k is an :func:`orbit`, its k-th item the k-th iterate
 (:func:`power_orbit` is the orbit of X -> A X), and :func:`sweep` reads
-walks at the wanted k; rates are computed once.
+walks at the wanted k.  The rate ||T - P_M|| is found once per operator,
+by :attr:`IterOperator.rate` alone; the trace bounds, :func:`cyclic_bound`
+and :func:`optimal_bound_simultaneous` raise it to the k.
 
 The optimal starting-point-independent rate of the simultaneous method is
 
@@ -63,9 +65,9 @@ KIND_CYCLIC = "cyclic"
 class IterOperator:
     """The iteration operator of one kind on a family, a read-only view of it.
 
-    ``matrix`` is T, ``limit_projector`` is P_M and ``rate`` is ||T - P_M||;
-    each is formed from the family on first use and kept, the matrices
-    read-only.
+    ``matrix`` is T, ``limit_projector`` is P_M and ``rate`` is ||T - P_M||,
+    the one place a base-space trace's rate is found; each is formed from
+    the family on first use and kept, the matrices read-only.
     """
 
     family: Family
@@ -106,9 +108,20 @@ class IterOperator:
 
     @cached_property
     def rate(self) -> float:
-        """||T - P_M||, the one-step error norm, which :func:`iterate` raises
-        to the k-th power for every start."""
-        return spectral_norm(self.matrix - self.limit_projector)
+        """||T - P_M|| from the family's reduced parts, no n x n matrix: 0 on
+        a degenerate family (r = 1 too); q for the simultaneous kind; for the
+        cyclic kind ||P_r' ... P_1'||, as P_i = P_i' + P_M with P_i' the
+        projector onto M_i intersect M-perp: the norm of a basis of
+        M_1 intersect M-perp walked through P_2', ..., P_r'."""
+        fam = self.family
+        if fam.degenerate:
+            return 0.0
+        if self.kind == KIND_SIMULTANEOUS:
+            return optimal_rate(friedrichs_gram(fam), len(fam))
+        Z = fam.reduced[0].basis
+        for R in fam.reduced[1:]:
+            Z = R.project(Z)
+        return _block_norm(Z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +164,8 @@ def iterate(T: IterOperator, x0, k_max: int) -> IterationTrace:
 
     Each step is a matrix-vector product (never a matrix power), matching
     how the method runs in practice.  The attached bounds are
-    ||T - P_M||^k * ||x0||, valid for both operator kinds since
-    T^k - P_M = (T - P_M)^k.
+    ``T.rate``^k * ||x0|| (q^k ||x0|| for the simultaneous kind), valid
+    for both kinds since T^k - P_M = (T - P_M)^k.
     """
     x = as_vector(x0, "start", T.family.ambient_dim)
     if k_max < 0:
@@ -232,17 +245,14 @@ def error_operator_norm(T: IterOperator, k):
 
 
 def optimal_bound_simultaneous(subspaces, k):
-    """q^k with q = (r-1)/r * cos(M_1,...,M_r) + 1/r.
+    """q^k, q = (r-1)/r * cos(M_1,...,M_r) + 1/r the simultaneous rate.
 
     This is the smallest constant c such that ||T^k(x) - P_M(x)|| <= c ||x||
-    for every x, T being the simultaneous operator.  On a degenerate family
-    (every M_i equal to M) the error operator vanishes identically and the
-    bound is 0; the rate formula does not cover that case.
+    for every x, T being the simultaneous operator; 0 on a degenerate
+    family (every M_i equal to M), whose error operator vanishes.
     """
-    fam = Family.of(subspaces, 2)
-    ks = exponents(k)
-    q = optimal_rate(friedrichs_gram(fam), len(fam))
-    return _per_k(ks, lambda k: q**k)
+    T = IterOperator(Family.of(subspaces, 2), KIND_SIMULTANEOUS)
+    return _per_k(exponents(k), lambda k: T.rate**k)
 
 
 def kw_bound(subspaces, k):
@@ -254,21 +264,15 @@ def kw_bound(subspaces, k):
 
 
 def cyclic_bound(subspaces, k):
-    """Product bound for the cyclic method, || P_r' ... P_1' ||^k.
+    """Product bound for the cyclic method, || P_r' ... P_1' ||^k, the cyclic
+    operator's rate to the k; P_i' projects onto M_i intersect M-perp.
 
-    P_i' projects onto the reduced component M_i intersect M-perp.  The
-    base equals the cyclic error norm at k = 1; for larger k the bound is
-    one-sided (not necessarily attained), and for r = 2 the exact value
-    cos^(2k-1) of :func:`kw_bound` is strictly smaller whenever
-    0 < cos < 1.
+    The base equals the cyclic error norm at k = 1; for larger k the bound
+    is one-sided (not necessarily attained), and for r = 2 the exact value
+    cos^(2k-1) of :func:`kw_bound` is strictly smaller whenever 0 < cos < 1.
     """
-    fam = Family.of(subspaces, 2)
-    ks = exponents(k)
-    product = np.eye(fam.ambient_dim)
-    for R in fam.reduced:
-        product = R.projector() @ product
-    base = spectral_norm(product)
-    return _per_k(ks, lambda k: base**k)
+    T = IterOperator(Family.of(subspaces, 2), KIND_CYCLIC)
+    return _per_k(exponents(k), lambda k: T.rate**k)
 
 
 def verify_error_identity(T: IterOperator, k):

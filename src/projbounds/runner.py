@@ -27,7 +27,7 @@ from .angles import (
     optimal_rate,
 )
 from .checks import CHECKS, CheckInputs, suite_checks
-from .errors import DegenerateError, InfeasibleError, InputError
+from .errors import InfeasibleError, InputError
 from .methods import IterationTrace, cyclic_operator, iterate, simultaneous_operator
 from .numlin import RANK_ABSOLUTE_FLOOR, RANK_RELATIVE_EPS
 from .productspace import product_alternating_traces
@@ -118,10 +118,7 @@ def run_scenario(s: Scenario) -> Report:
         family = Family.of([Subspace.from_spanning(spec.spanning) for spec in s.subspaces])
 
     gram = friedrichs_gram(family)
-    try:
-        norm_route = friedrichs_from_norm(family)
-    except DegenerateError:
-        norm_route = None
+    norm_route = None if family.degenerate else friedrichs_from_norm(family)
     principal = cos_two(family) if s.r == 2 else None
     friedrichs = {
         ROUTE_GRAM: _friedrichs_entry(gram),

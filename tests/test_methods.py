@@ -155,20 +155,55 @@ class TestIterate:
     def test_rate_computed_once_per_operator(self, monkeypatch):
         calls = []
 
-        def counting(A):
-            calls.append(1)
-            return spectral_norm(A)
+        def counting(real):
+            def wrapped(*args):
+                calls.append(1)
+                return real(*args)
 
-        monkeypatch.setattr(methods, "spectral_norm", counting)
+            return wrapped
+
+        def forbidden(*args):
+            raise AssertionError("the rate formed an n x n matrix")
+
+        # The simultaneous rate reads the gram route, the cyclic one a
+        # block norm; neither reads T or any projector.
+        monkeypatch.setattr(methods, "friedrichs_gram", counting(methods.friedrichs_gram))
+        monkeypatch.setattr(methods, "_block_norm", counting(methods._block_norm))
         rng = np.random.default_rng(47)
         subs = random_family(rng, 3, 8)
-        T = cyclic_operator(subs)
-        for _ in range(3):
-            x = rng.standard_normal(8)
-            trace = iterate(T, x, 5)
-            assert np.array_equal(trace.bounds, T.rate ** np.arange(6) * np.linalg.norm(x))
-        assert len(calls) == 1
-        assert T.rate == spectral_norm(T.matrix - T.limit_projector)
+        for T in (simultaneous_operator(subs), cyclic_operator(subs)):
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(Subspace, "projector", forbidden)
+                m.setattr(IterOperator, "matrix", property(forbidden))
+                rate = T.rate
+            for _ in range(3):
+                x = rng.standard_normal(8)
+                trace = iterate(T, x, 5)
+                assert np.array_equal(trace.bounds, T.rate ** np.arange(6) * np.linalg.norm(x))
+            assert T.rate == rate and len(calls) == 1, T.kind
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rate_matches_dense_oracle(self, seed):
+        rng = np.random.default_rng(140 + seed)
+        n = int(rng.integers(4, 20))
+        subs = random_family(rng, int(rng.integers(2, 5)), n)
+        if seed % 2:
+            # A common part, so that M is not {0}.
+            common = rng.standard_normal((n, int(rng.integers(1, 3))))
+            subs = [Subspace.from_spanning(np.hstack([common, S.basis])) for S in subs]
+        for T in (simultaneous_operator(subs), cyclic_operator(subs)):
+            oracle = spectral_norm(T.matrix - T.limit_projector)
+            assert abs(T.rate - oracle) <= 1e-13, T.kind
+
+    def test_rate_is_zero_on_degenerate_families(self):
+        rng = np.random.default_rng(48)
+        A = rng.standard_normal((9, 4))
+        S, same = Subspace.from_spanning(A), Subspace.from_spanning(A @ rng.standard_normal((4, 4)))
+        for subs in ([S], [S, same], [S, same, S]):
+            assert Family.of(subs).degenerate
+            for T in (simultaneous_operator(subs), cyclic_operator(subs)):
+                assert T.rate == 0.0
 
 
 class TestErrorOperatorNorm:

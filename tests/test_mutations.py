@@ -9,7 +9,9 @@ independent path of the norm chain has its own row, so no member can
 turn into a copy of another unnoticed, and so has each side of the
 lemma.  The family has a one-dimensional common part, so C intersect D
 is not {0}, and the scenario iterates in the product space, so
-``bounds`` reads the lifted traces.
+``bounds`` reads the lifted traces.  A family wrongly judged degenerate
+is planted on base-space runs, whose trace bounds read the operator's
+rate.
 """
 
 import numpy as np
@@ -24,15 +26,15 @@ from projbounds.subspaces import Family, Subspace
 N = 6
 
 
-def scenario():
+def scenario(method="product_alternating"):
     rng = np.random.default_rng(2024)
     common = rng.standard_normal((N, 1))
     spans = [np.hstack([common, rng.standard_normal((N, d))]) for d in (2, 3, 2)]
-    return Scenario.generated("mutation-gate", N, spans, 7, k_max=8, method="product_alternating")
+    return Scenario.generated("mutation-gate", N, spans, 7, k_max=8, method=method)
 
 
-def failed_checks():
-    report = run_scenario(scenario())
+def failed_checks(method="product_alternating"):
+    report = run_scenario(scenario(method))
     assert report.error is None
     return {c.name for c in report.check_outcomes if not c.passed}
 
@@ -182,3 +184,12 @@ def test_fault_fails_exactly_its_checks(monkeypatch, fault):
     plant, expected = FAULTS[fault]
     plant(monkeypatch)
     assert failed_checks() == expected
+
+
+@pytest.mark.parametrize("method", ["simultaneous", "cyclic"])
+def test_forced_degeneracy_fails_bounds(monkeypatch, method):
+    # Every route and the norm chain read Family.degenerate; the traces'
+    # rate, 0 on a degenerate family, is refuted by the iterates' errors.
+    assert failed_checks(method) == set()
+    monkeypatch.setattr(Family, "degenerate", True)
+    assert failed_checks(method) == {"bounds"}
