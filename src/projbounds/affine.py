@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InfeasibleError, InputError
-from .methods import KIND_CYCLIC, KIND_SIMULTANEOUS, IterationTrace, IterOperator, error_profile
+from .methods import IterationTrace, cyclic_bound, error_profile, optimal_bound_simultaneous
 from .numlin import as_vector
 from .subspaces import Family, Subspace
 
@@ -77,9 +77,8 @@ class AffineSubspace:
 @dataclass(frozen=True, eq=False)
 class AffineFamily:
     """Affine subspaces V_1, ..., V_r of one R^n, validated through the
-    Family of their directions; the target set and the directions'
-    operators, whose rates the sweeps attach, are made on first use and
-    kept, so that all starts share them."""
+    Family of their directions; the target set is computed on first use
+    and kept, so that all starts share it and the directions' work."""
 
     members: tuple[AffineSubspace, ...]
     directions: Family
@@ -96,12 +95,6 @@ class AffineFamily:
     def target(self) -> AffineSubspace:
         """The intersection of the members; InfeasibleError when empty."""
         return intersection_affine(self)
-
-    @cached_property
-    def operators(self) -> dict[str, IterOperator]:
-        """The directions' operator of each kind, keyed by kind."""
-        kinds = (KIND_SIMULTANEOUS, KIND_CYCLIC)
-        return {kind: IterOperator(self.directions, kind) for kind in kinds}
 
 
 def intersection_affine(affines) -> AffineSubspace:
@@ -134,25 +127,25 @@ def intersection_affine(affines) -> AffineSubspace:
     return AffineSubspace(anchor=solution, direction=fam.directions.intersection)
 
 
-def _affine_trace(fam: AffineFamily, x0, k_max, sweep, kind) -> IterationTrace:
+def _affine_trace(fam: AffineFamily, x0, k_max, sweep, bound) -> IterationTrace:
     if k_max < 0:
         raise InputError("k_max must be nonnegative")
     target_set = fam.target
     x = as_vector(x0, "start", target_set.ambient_dim)
     errors = error_profile(x, target_set.project(x), sweep, k_max)
     scale = np.linalg.norm(x - target_set.anchor)
-    bounds = fam.operators[kind].rate ** np.arange(k_max + 1) * scale
+    bounds = bound(fam.directions, 1) ** np.arange(k_max + 1) * scale
     return IterationTrace(start=x, errors=errors, bounds=bounds)
 
 
 def simultaneous_affine(affines, x0, k_max: int) -> IterationTrace:
     """Averaged affine projections x <- (1/r) sum_i P_{V_i}(x).
 
-    The bound attached is q^k ||x0 - P_V(0)||, q = (r-1)/r cos(L_1, ...,
-    L_r) + 1/r the rate of the directions' simultaneous operator (0 when
-    every direction equals the common one: the error vanishes after one
-    step).  ``affines`` may be an :class:`AffineFamily`, whose target set
-    and operators are then reused.
+    The bound attached is :func:`optimal_bound_simultaneous` of the
+    directions times ||x0 - P_V(0)||: q^k, q = (r-1)/r cos(L_1, ..., L_r)
+    + 1/r (about 0 when every direction equals the common one: the error
+    vanishes after one step).  ``affines`` may be an
+    :class:`AffineFamily`, whose target set and directions are then reused.
     """
     fam = AffineFamily.of(affines)
     r = len(fam.members)
@@ -163,15 +156,15 @@ def simultaneous_affine(affines, x0, k_max: int) -> IterationTrace:
             acc += V.project(x)
         return acc / r
 
-    return _affine_trace(fam, x0, k_max, sweep, KIND_SIMULTANEOUS)
+    return _affine_trace(fam, x0, k_max, sweep, optimal_bound_simultaneous)
 
 
 def cyclic_affine(affines, x0, k_max: int) -> IterationTrace:
     """Cyclic sweeps x <- P_{V_r}(... P_{V_1}(x) ...).
 
-    The bound attached is ||P_r' ... P_1'||^k ||x0 - P_V(0)||, the rate of
-    the directions' cyclic operator to the k; it is valid but not
-    necessarily attained for r > 2.  ``affines`` may be an
+    The bound attached is :func:`cyclic_bound` of the directions times
+    ||x0 - P_V(0)||: ||P_r' ... P_1'||^k, valid but not necessarily
+    attained for r > 2.  ``affines`` may be an
     :class:`AffineFamily`.
     """
     fam = AffineFamily.of(affines)
@@ -181,4 +174,4 @@ def cyclic_affine(affines, x0, k_max: int) -> IterationTrace:
             x = V.project(x)
         return x
 
-    return _affine_trace(fam, x0, k_max, sweep, KIND_CYCLIC)
+    return _affine_trace(fam, x0, k_max, sweep, cyclic_bound)

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateError, InputError
 from .numlin import spectral_norm, symmetric_norm
 from .subspaces import Family, Subspace
@@ -114,14 +112,13 @@ def friedrichs_gram(subspaces) -> FriedrichsResult:
 
     clamped to [0, 1].  Components with trivial reduced part contribute no
     columns but still count toward r.  Degenerate exactly when the family
-    is (:attr:`Family.degenerate`).
+    is (:attr:`Family.degenerate`).  The eigenvalue is the family's
+    :attr:`Family.reduced_gram_norm`, found once per family.
     """
     fam = Family.of(subspaces, 2)
     if fam.degenerate:
         return _clamped(0.0, True)
-    B = np.hstack([R.basis for R in fam.reduced])
-    lam_max = float(np.linalg.eigvalsh(B.T @ B)[-1])
-    return _clamped((lam_max - 1.0) / (len(fam) - 1.0))
+    return _clamped((fam.reduced_gram_norm - 1.0) / (len(fam) - 1.0))
 
 
 def friedrichs_from_norm(subspaces) -> FriedrichsResult:

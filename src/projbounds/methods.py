@@ -108,20 +108,24 @@ class IterOperator:
 
     @cached_property
     def rate(self) -> float:
-        """||T - P_M|| from the family's reduced parts, no n x n matrix: 0 on
-        a degenerate family (r = 1 too); q for the simultaneous kind; for the
-        cyclic kind ||P_r' ... P_1'||, as P_i = P_i' + P_M with P_i' the
-        projector onto M_i intersect M-perp: the norm of a basis of
-        M_1 intersect M-perp walked through P_2', ..., P_r'."""
-        fam = self.family
+        """||T - P_M|| from the family's bases, no n x n matrix.  Were
+        P_i = P_M + P_i' exact (P_i' projects onto M_i intersect M-perp), it
+        would be q for the simultaneous kind and ||P_r' ... P_1'|| (a basis
+        of M_1 intersect M-perp walked through P_2', ..., P_r') for the
+        cyclic one, 0 on a degenerate family.  Members miss that split by
+        their :attr:`Family.defects`, whose mean (sum, cyclic) bounds
+        ||T - P_M|| on a family judged degenerate; the rate is the larger
+        of that and the split rate."""
+        fam, simultaneous = self.family, self.kind == KIND_SIMULTANEOUS
+        defect = sum(fam.defects) / (len(fam) if simultaneous else 1)
         if fam.degenerate:
-            return 0.0
-        if self.kind == KIND_SIMULTANEOUS:
-            return optimal_rate(friedrichs_gram(fam), len(fam))
+            return defect
+        if simultaneous:
+            return max(optimal_rate(friedrichs_gram(fam), len(fam)), defect)
         Z = fam.reduced[0].basis
         for R in fam.reduced[1:]:
             Z = R.project(Z)
-        return _block_norm(Z)
+        return max(_block_norm(Z), defect)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,10 +252,10 @@ def optimal_bound_simultaneous(subspaces, k):
     """q^k, q = (r-1)/r * cos(M_1,...,M_r) + 1/r the simultaneous rate.
 
     This is the smallest constant c such that ||T^k(x) - P_M(x)|| <= c ||x||
-    for every x, T being the simultaneous operator; 0 on a degenerate
-    family (every M_i equal to M), whose error operator vanishes.
+    for every x, T being the simultaneous operator: its rate to the k,
+    the members' mean defect on a degenerate family (every M_i equal to M).
     """
-    T = IterOperator(Family.of(subspaces, 2), KIND_SIMULTANEOUS)
+    T = IterOperator(Family.of(subspaces), KIND_SIMULTANEOUS)
     return _per_k(exponents(k), lambda k: T.rate**k)
 
 
@@ -271,7 +275,7 @@ def cyclic_bound(subspaces, k):
     is one-sided (not necessarily attained), and for r = 2 the exact value
     cos^(2k-1) of :func:`kw_bound` is strictly smaller whenever 0 < cos < 1.
     """
-    T = IterOperator(Family.of(subspaces, 2), KIND_CYCLIC)
+    T = IterOperator(Family.of(subspaces), KIND_CYCLIC)
     return _per_k(exponents(k), lambda k: T.rate**k)
 
 

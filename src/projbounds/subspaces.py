@@ -157,9 +157,9 @@ def reduced_component(Mi: Subspace, M: Subspace) -> Subspace:
 class Family:
     """A nonempty family M_1, ..., M_r of subspaces of one R^n, validated once.
 
-    The intersection, the reduced components, whether the family is
-    degenerate, its span and the averaged projector are computed on first
-    use and kept.  Iterating a family yields its members.
+    The intersection, the reduced components and what is read from them,
+    the span and the averaged projector are computed on first use and
+    kept.  Iterating a family yields its members.
     """
 
     members: tuple[Subspace, ...]
@@ -207,6 +207,24 @@ class Family:
         """Whether every member equals the intersection, so that every
         reduced component is trivial and the error operators vanish."""
         return all(S.dim == self.intersection.dim for S in self)
+
+    @cached_property
+    def defects(self) -> tuple[float, ...]:
+        """||P_i - P_M - P_i'|| = ||(I - P_M - P_i') Q_i|| per member, P_i'
+        projecting onto its reduced component: 0 in exact arithmetic, but M
+        is decided within tolerances, and a member may miss M + M_i' by those."""
+        M = self.intersection.basis
+        return tuple(
+            spectral_norm(Q - M @ (M.T @ Q) - R @ (R.T @ Q)) if Q.shape[1] else 0.0
+            for Q, R in ((S.basis, C.basis) for S, C in zip(self, self.reduced))
+        )
+
+    @cached_property
+    def reduced_gram_norm(self) -> float:
+        """lambda_max(B^T B), B the reduced bases side by side, for
+        :func:`angles.friedrichs_gram` on a nondegenerate family."""
+        B = np.hstack([R.basis for R in self.reduced])
+        return float(np.linalg.eigvalsh(B.T @ B)[-1])
 
     @cached_property
     def span(self) -> np.ndarray:

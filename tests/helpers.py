@@ -87,6 +87,15 @@ def planted_pair(rng: np.random.Generator, theta_deg: float, n: int, shared_dim:
     return M1, M2
 
 
+def near_pair(rng: np.random.Generator, theta: float, n: int, d: int):
+    """Two d-dimensional subspaces of R^n whose d principal angles all equal
+    ``theta`` radians: the first spanned by d orthonormal columns A, the
+    second by cos(theta) A + sin(theta) U, U orthonormal and orthogonal to A."""
+    Q = rotation(rng, n)[:, : 2 * d]
+    A, U = Q[:, :d], Q[:, d:]
+    return Subspace(A), Subspace(np.cos(theta) * A + np.sin(theta) * U)
+
+
 def same_subspace(A: Subspace, B: Subspace) -> bool:
     """Test-only equality of two subspaces of one R^n: their projectors
     agree to PROJECTOR_EQ_TOL, whatever their bases."""

@@ -23,6 +23,7 @@ from projbounds.methods import KIND_CYCLIC, KIND_SIMULTANEOUS, orbit, power_orbi
 from helpers import (
     k_indexed_calls,
     lines_exact_60,
+    near_pair,
     orthogonal_axes,
     random_family,
     triple_at_120,
@@ -196,14 +197,26 @@ class TestIterate:
             oracle = spectral_norm(T.matrix - T.limit_projector)
             assert abs(T.rate - oracle) <= 1e-13, T.kind
 
-    def test_rate_is_zero_on_degenerate_families(self):
+    def test_rate_is_rounding_on_degenerate_families(self):
+        # Every member is M up to rounding, so T = P_M and the rate is the
+        # members' rounding-level defect.
         rng = np.random.default_rng(48)
         A = rng.standard_normal((9, 4))
         S, same = Subspace.from_spanning(A), Subspace.from_spanning(A @ rng.standard_normal((4, 4)))
         for subs in ([S], [S, same], [S, same, S]):
             assert Family.of(subs).degenerate
             for T in (simultaneous_operator(subs), cyclic_operator(subs)):
-                assert T.rate == 0.0
+                assert 0.0 <= T.rate <= 1e-14
+
+    @pytest.mark.parametrize("build", [simultaneous_operator, cyclic_operator])
+    def test_rate_bounds_a_family_judged_degenerate(self, build):
+        # Principal angles of 1e-11 lie below the intersection's cutoff, so
+        # the pair is judged one subspace, yet ||T - P_M|| is of the order
+        # of the angles; the members' defects bound it.
+        T = build(near_pair(np.random.default_rng(49), 1e-11, 30, 10))
+        assert T.family.degenerate
+        oracle = spectral_norm(T.matrix - T.limit_projector)
+        assert oracle > 1e-12 and T.rate >= oracle - 1e-15
 
 
 class TestErrorOperatorNorm:

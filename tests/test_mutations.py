@@ -189,7 +189,8 @@ def test_fault_fails_exactly_its_checks(monkeypatch, fault):
 @pytest.mark.parametrize("method", ["simultaneous", "cyclic"])
 def test_forced_degeneracy_fails_bounds(monkeypatch, method):
     # Every route and the norm chain read Family.degenerate; the traces'
-    # rate, 0 on a degenerate family, is refuted by the iterates' errors.
+    # rate, on a degenerate family only the members' rounding-level
+    # defects, is refuted by the iterates' errors.
     assert failed_checks(method) == set()
     monkeypatch.setattr(Family, "degenerate", True)
     assert failed_checks(method) == {"bounds"}

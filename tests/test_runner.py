@@ -12,6 +12,7 @@ from projbounds.runner import (
     verify_battery,
 )
 from projbounds.scenario import Scenario, SubspaceSpec
+from helpers import near_pair
 
 LINES_60 = """\
 projscenario v1
@@ -147,6 +148,19 @@ class TestRunScenario:
         rep = run_scenario(generate_two_subspace(3e-9, 300, 0, seed=0))
         assert rep.friedrichs["gram_block"] == {"value": 0.0, "degenerate": True}
         assert rep.q == 0.0 and rep.all_passed()
+
+    @pytest.mark.parametrize("method", ["simultaneous", "cyclic"])
+    def test_first_step_bounded_on_a_pair_judged_degenerate(self, method):
+        # The pair is judged one subspace (angles 1e-11, below the cutoff),
+        # yet one step from a start of norm 100 in the first member moves
+        # it by about 1e-9, ten times the bounds tolerance.
+        A, B = near_pair(np.random.default_rng(3), 1e-11, 30, 10)
+        s = Scenario(ambient_dim=30, subspaces=[SubspaceSpec(A.basis), SubspaceSpec(B.basis)],
+                     method=method, k_max=1, starts=[100.0 * A.basis[:, 0]], checks=("bounds",))
+        rep = run_scenario(s)
+        assert rep.friedrichs["gram_block"]["degenerate"]
+        assert rep.traces[0].errors[1] > 1e-10
+        assert rep.all_passed()
 
 
 class TestEmission:
