@@ -76,10 +76,9 @@ class IterOperator:
     def __post_init__(self) -> None:
         if self.kind not in (KIND_SIMULTANEOUS, KIND_CYCLIC):
             raise InputError(f"unknown operator kind {self.kind!r}")
-        # Absorption, T P_M = P_M T = P_M, follows from M lying in every M_i.
-        # Forming the reduced components tests that containment, once per
-        # family (Subspace.contains at PROJECTOR_EQ_TOL; ContainmentError if
-        # it fails), so no operator re-decides it from its matrices.
+        # Absorption, T P_M = P_M T = P_M, follows from M lying in every M_i,
+        # which forming the reduced components tests once per family
+        # (Subspace.contains), so no operator re-decides it from its matrices.
         self.family.reduced
 
     @cached_property

@@ -57,11 +57,10 @@ def as_vector(x, name: str = "vector", dim: int | None = None) -> np.ndarray:
     return v
 
 
-def _rank(s: np.ndarray, shape: tuple[int, int], scale: float = 0.0) -> int:
+def _rank(s: np.ndarray, shape: tuple[int, int]) -> int:
     """Numerical rank from the descending singular values ``s`` of a matrix
-    of ``shape``, under the module's rank policy; the relative cutoff is
-    measured against max(s[0], scale)."""
-    cutoff = max(max(shape) * RANK_RELATIVE_EPS * max(float(s[0]), scale), RANK_ABSOLUTE_FLOOR)
+    of ``shape``, under the module's rank policy."""
+    cutoff = max(max(shape) * RANK_RELATIVE_EPS * float(s[0]), RANK_ABSOLUTE_FLOOR)
     return int(np.count_nonzero(s > cutoff))
 
 
@@ -89,20 +88,19 @@ def orthonormal_basis(A) -> np.ndarray:
     return U[:, :_rank(s, M.shape)].copy()
 
 
-def null_space(A, scale: float = 0.0) -> np.ndarray:
+def null_space(A, cutoff: float | None = None) -> np.ndarray:
     """Orthonormal basis of the kernel {x : Ax = 0}.
 
     Parameters
     ----------
     A : array-like, (m, n)
         Input matrix, at least one column.
-    scale : float
-        Floor on the magnitude the relative cutoff is measured against,
-        which is otherwise the largest singular value of A.  A caller whose
-        A may be rounding noise throughout passes the norm A has at full
-        strength, so that the noise is not counted as rank.  The rank
-        decision is otherwise the one :func:`orthonormal_basis` makes, so
-        rank + nullity = n holds exactly.
+    cutoff : float, optional
+        Absolute threshold: right singular vectors whose singular value is
+        at most ``cutoff`` span the kernel.  A caller that decides by a
+        fixed magnitude, not relative to the largest singular value of A,
+        passes it.  By default the rank decision is the one
+        :func:`orthonormal_basis` makes, so rank + nullity = n holds exactly.
 
     Returns
     -------
@@ -118,7 +116,8 @@ def null_space(A, scale: float = 0.0) -> np.ndarray:
     # A thin SVD already yields all n right singular vectors when m >= n;
     # only a wide matrix needs the full factorization for its kernel.
     _, s, Vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    return Vt[_rank(s, M.shape, scale):].T.copy()
+    rank = _rank(s, M.shape) if cutoff is None else int(np.count_nonzero(s > cutoff))
+    return Vt[rank:].T.copy()
 
 
 def spectral_norm(A) -> float:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import cos_two, friedrichs_gram, optimal_rate
+from .angles import friedrichs_gram, optimal_rate
 from .errors import DegenerateError, InputError
 from .methods import IterationTrace, error_profile, exponents, orbit, power_orbit, sweep
 from .numlin import as_vector, spectral_norm, symmetric_norm
@@ -56,13 +56,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ProductSpaceModel:
-    """The lifted pair (C, D) in R^(n*r) of the base ``family``; ``pair``
-    is (C, D) as a Family, so that C intersect D is computed once."""
+    """The lifted pair (C, D) in R^(n*r) of the base ``family``, and ``CD``,
+    their intersection C intersect D, the diagonal lift of M."""
 
     C: Subspace
     D: Subspace
     family: Family
-    pair: Family
+    CD: Subspace
 
     def step(self, y: np.ndarray) -> np.ndarray:
         """One lifted alternating step P_D P_C y, through the bases of C and D."""
@@ -71,27 +71,32 @@ class ProductSpaceModel:
     def limit(self, y: np.ndarray) -> np.ndarray:
         """P_CD y, the limit of the lifted iteration from y, through the
         basis of C intersect D."""
-        return self.pair.intersection.project(y)
+        return self.CD.project(y)
 
 
 def build_product(subspaces) -> ProductSpaceModel:
-    """Assemble C (block-diagonal lift) and D (diagonal) for the family.
+    """Assemble C (block-diagonal lift), D (diagonal) and C intersect D.
 
     C's basis stacks each factor's basis into its own block row; D's basis
     columns are (1/sqrt(r)) (e_j, ..., e_j), orthonormal under the standard
-    metric.  dim C = sum_i dim M_i and dim D = n.
+    metric.  dim C = sum_i dim M_i and dim D = n.  C intersect D, the lift of
+    M, is sized by dim M and found in R^(n*r), where Pierra's anchor term
+    tests it: the directions of the thinner of C and D nearest the other.
     """
     fam = Family.of(subspaces, 2)
     n, r = fam.ambient_dim, len(fam)
-    total_cols = sum(S.dim for S in fam)
-    C_basis = np.zeros((n * r, total_cols))
+    C_basis = np.zeros((n * r, sum(S.dim for S in fam)))
     col = 0
     for i, S in enumerate(fam):
         C_basis[i * n : (i + 1) * n, col : col + S.dim] = S.basis
         col += S.dim
     D_basis = np.vstack([np.eye(n)] * r) / np.sqrt(r)
     C, D = Subspace(C_basis), Subspace(D_basis)
-    return ProductSpaceModel(C, D, fam, Family((C, D)))
+    thin, other = sorted((C, D), key=lambda S: S.dim)
+    if (m := fam.intersection.dim) == 0:
+        return ProductSpaceModel(C, D, fam, Subspace.trivial(n * r))
+    Vt = np.linalg.svd(thin.basis - other.project(thin.basis), full_matrices=False)[2]
+    return ProductSpaceModel(C, D, fam, Subspace(thin.basis @ Vt[thin.dim - m :].T))
 
 
 def lift_diag(model: ProductSpaceModel, x) -> np.ndarray:
@@ -106,8 +111,12 @@ def lift_diag(model: ProductSpaceModel, x) -> np.ndarray:
 
 
 def cos_CD(model: ProductSpaceModel) -> float:
-    """Friedrichs-angle cosine between C and D, computed inside R^(n*r)."""
-    return cos_two(model.pair).value
+    """cos(C, D) = ||P_C P_D - P_CD|| (Deutsch 2001, ch. 9) inside R^(n*r): as C
+    intersect D lies in both, ||Q_C^T Q_D - (Q_C^T Q_CD)(Q_CD^T Q_D)||."""
+    if model.CD.dim in (model.C.dim, model.D.dim):
+        return 0.0  # C in D or D in C: no angle, as on a degenerate family
+    C, D, CD = model.C.basis, model.D.basis, model.CD.basis
+    return spectral_norm(C.T @ D - (C.T @ CD) @ (CD.T @ D))
 
 
 def chain_residual_profile(subspaces, k_values) -> np.ndarray:

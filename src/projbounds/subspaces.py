@@ -26,6 +26,10 @@ ORTHONORMALITY_TOL = 1e-12
 # The containment test, a projector-level comparison, uses one order more
 # slack than the kernel accuracy.
 PROJECTOR_EQ_TOL = 1e-10
+# The one shared-part decision: subspaces share a direction whose stacked sine is
+# at most this.  Half the containment slack, so every intersection passes
+# ``contains``; above the 3e-11 rounding sines of two bases of one subspace.
+SHARED_SINE_TOL = PROJECTOR_EQ_TOL / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,11 +119,10 @@ def intersection(subspaces) -> Subspace:
     the intersection is Q times the null space of the stacked sine matrix
     [Q - Q_i (Q_i^T Q)] over the other members i, since Q y lies in M_i
     exactly when (I - P_i) Q y = 0 (Bjorck & Golub 1973).  One SVD with d
-    columns, rather than n, decides the rank, and no error accumulates
-    across pairwise steps.  The rank cutoff is measured against at least
-    sqrt(r - 1), the most that r - 1 stacked blocks of norm at most 1 can
-    reach, not against the largest sine alone: when the members coincide,
-    every sine is rounding noise.
+    columns, rather than n, decides the common part, with no error summed
+    over pairwise steps: the directions whose stacked sine is at most the
+    absolute SHARED_SINE_TOL (coincident members' sines are rounding noise),
+    so the result passes each member's ``contains`` test.
     """
     subs = Family.of(subspaces).members
     if len(subs) == 1:
@@ -131,7 +134,7 @@ def intersection(subspaces) -> Subspace:
     stacked = np.vstack(
         [Q - S.basis @ (S.basis.T @ Q) for i, S in enumerate(subs) if i != base]
     )
-    return Subspace(Q @ null_space(stacked, scale=np.sqrt(len(subs) - 1)))
+    return Subspace(Q @ null_space(stacked, cutoff=SHARED_SINE_TOL))
 
 
 def reduced_component(Mi: Subspace, M: Subspace) -> Subspace:

@@ -138,7 +138,7 @@ def dense_chain_residual_profile(subspaces, k_values) -> np.ndarray:
     one_step = symmetric_norm(T - P_M)
     q = optimal_rate(fr, len(fam))
     c_prod = cos_CD(model)
-    P_CD = model.pair.intersection.projector()
+    P_CD = model.CD.projector()
     T_prod = model.D.projector() @ model.C.projector() @ model.D.projector()
     prod_one_step = symmetric_norm(T_prod - P_CD)
     rows = []

@@ -14,6 +14,8 @@ is planted on base-space runs, whose trace bounds read the operator's
 rate.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -48,8 +50,7 @@ def patch_product(monkeypatch, change):
 
 def drop_last_block(monkeypatch):
     def change(model):
-        C = Subspace(model.C.basis[:, : -model.family.members[-1].dim])
-        return ProductSpaceModel(C, model.D, model.family, Family((C, model.D)))
+        return replace(model, C=Subspace(model.C.basis[:, : -model.family.members[-1].dim]))
 
     patch_product(monkeypatch, change)
 
@@ -59,10 +60,18 @@ def step_without_D(monkeypatch):
 
 
 def trivial_CD(monkeypatch):
+    patch_product(monkeypatch, lambda model: replace(model, CD=Subspace.trivial(model.C.ambient_dim)))
+
+
+def CD_one_short(monkeypatch):
+    """C intersect D built for a copy of the family whose M lacks its last
+    column; everything else reads the real family."""
+
     def change(model):
-        wrong = Subspace.trivial(model.C.ambient_dim)
-        monkeypatch.setitem(model.pair.__dict__, "intersection", wrong)
-        return model
+        family = Family(model.family.members)
+        short = Subspace(model.family.intersection.basis[:, :-1])
+        monkeypatch.setitem(family.__dict__, "intersection", short)
+        return replace(model, CD=productspace.build_product(family).CD)
 
     patch_product(monkeypatch, change)
 
@@ -118,7 +127,7 @@ def span_without_last_column(monkeypatch):
     def change(model):
         family = Family(model.family.members)
         monkeypatch.setitem(family.__dict__, "span", model.family.span[:, :-1])
-        return ProductSpaceModel(model.C, model.D, family, model.pair)
+        return replace(model, family=family)
 
     patch_product(monkeypatch, change)
 
@@ -130,9 +139,16 @@ def scaled(monkeypatch, name):
 
 
 FAULTS = {
-    "C without its last member's block": (drop_last_block, {"norm_chain", "pierra_lift"}),
+    # The faulty model keeps the real C intersect D, which its C no longer
+    # holds, so cos(C, D) read from it falls short and so do the lifted
+    # traces' bounds.
+    "C without its last member's block": (
+        drop_last_block,
+        {"norm_chain", "pierra_lift", "bounds"},
+    ),
     "lifted step applies P_C only": (step_without_D, {"norm_chain", "pierra_lift", "bounds"}),
     "C intersect D taken as {0}": (trivial_CD, {"norm_chain", "pierra_lift"}),
+    "C intersect D sized dim M - 1": (CD_one_short, {"norm_chain", "pierra_lift"}),
     "anchor reads lift(P_M x) for P_CD lift(x)": (anchor_from_base, {"norm_chain"}),
     # Pierra's base side lives in R^N; its lifted side, in R^(N*r).
     "base side of Pierra one exponent ahead": (

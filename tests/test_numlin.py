@@ -156,16 +156,20 @@ class TestNullSpaceShapes:
         assert spectral_norm(N.T @ N - np.eye(N.shape[1])) <= 1e-12
         assert np.abs(A @ N).max() <= 1e-10 * spectral_norm(A)
 
-    def test_scale_keeps_noise_out_of_the_rank(self):
+    def test_cutoff_keeps_noise_out_of_the_rank(self):
         # a matrix of rounding-level entries has numerical rank 0 against
-        # a unit scale, but full rank against its own largest value
+        # an absolute cutoff, but full rank against its own largest value
         A = 1e-13 * np.random.default_rng(7).standard_normal((30, 10))
-        assert null_space(A, scale=1.0).shape == (10, 10)
+        assert null_space(A, cutoff=1e-12).shape == (10, 10)
         assert null_space(A).shape == (10, 0)
 
-    def test_scale_below_largest_singular_value_changes_nothing(self):
-        A = np.diag([2.0, 1e-12, 0.0])
-        assert null_space(A, scale=0.5).shape == null_space(A).shape == (3, 2)
+    def test_cutoff_is_absolute_and_inclusive(self):
+        # 1e-11 is rank under the relative policy (cutoff 3 * 1e-12 * 2), but
+        # a singular value at most the cutoff spans the kernel
+        A = np.diag([2.0, 1e-11, 0.0])
+        assert null_space(A, cutoff=1e-11).shape == (3, 2)
+        assert null_space(A, cutoff=1e-12).shape == null_space(A).shape == (3, 1)
+        assert orthonormal_basis(A).shape[1] + null_space(A).shape[1] == 3
 
 
 class TestSymmetricNorm:

@@ -17,6 +17,7 @@ from projbounds import (
     simultaneous_operator,
     spectral_norm,
 )
+from projbounds import subspaces
 from projbounds.productspace import product_alternating_traces
 from helpers import (
     dense_chain_residual_profile,
@@ -39,11 +40,12 @@ class TestBuildProduct:
         model = build_product([Subspace.full(2), Subspace.full(2)])
         assert model.C.dim == 4
         assert same_subspace(intersection([model.C, model.D]), model.D)
+        assert same_subspace(model.CD, model.D)
 
     def test_trivial_factors(self):
         model = build_product([Subspace.trivial(2), Subspace.trivial(2)])
         assert model.C.dim == 0
-        assert intersection([model.C, model.D]).dim == 0
+        assert intersection([model.C, model.D]).dim == model.CD.dim == 0
 
     def test_dim_bookkeeping_random(self):
         rng = np.random.default_rng(5)
@@ -59,6 +61,7 @@ class TestBuildProduct:
         common = intersection(subs)
         CD = intersection([model.C, model.D])
         assert CD.dim == common.dim
+        assert same_subspace(model.CD, CD)
         if common.dim:
             lifted = np.vstack([common.basis] * 3) / np.sqrt(3.0)
             assert same_subspace(CD, Subspace(lifted))
@@ -112,6 +115,11 @@ class TestCosCD:
         model = build_product([S, S])
         assert cos_CD(model) == pytest.approx(0.0, abs=1e-12)
         assert friedrichs_gram([S, S]).degenerate
+
+    @pytest.mark.parametrize("S", [Subspace.trivial(2), Subspace.full(2)])
+    def test_nested_lifted_pair_gives_zero(self, S):
+        # C = {0} lies in D, and D in C = R^4: no angle lies between them
+        assert cos_CD(build_product([S, S])) == 0.0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_squared_angle_matches_friedrichs_formula(self, seed):
@@ -313,6 +321,30 @@ def test_lifted_paths_form_no_product_projector(monkeypatch):
     assert ambient and model.C.ambient_dim not in ambient
 
 
+def test_product_space_decides_no_shared_part(monkeypatch):
+    # C intersect D is sized by dim M, decided once in R^n: no intersection
+    # or reduced component is computed in R^(n*r), by cos_two or otherwise.
+    ambient = []
+
+    def recorded(real):
+        def call(*args):
+            ambient.append(args[0].ambient_dim)
+            return real(*args)
+
+        return call
+
+    for name in ("intersection", "reduced_component"):
+        monkeypatch.setattr(subspaces, name, recorded(getattr(subspaces, name)))
+    rng = np.random.default_rng(2)
+    model = build_product(random_family(rng, 3, 8, [6, 6, 6]))
+    starts = [rng.standard_normal(8)]
+    assert pierra_lift_residual(model, starts, range(4)) <= 1e-10
+    assert max(t.max_violation() for t in product_alternating_traces(model, starts, 3)) <= 1e-10
+    assert chain_residual_profile(model, range(1, 4)).max() <= 1e-10
+    assert model.CD.dim == model.family.intersection.dim == 2
+    assert set(ambient) == {8}
+
+
 def test_chain_profile_peak_memory():
     # The chain walks two blocks of the family's span S (n x m; m = n
     # here, since the dimensions sum past n): S itself through T, and its
@@ -321,7 +353,6 @@ def test_chain_profile_peak_memory():
     # step); one nr x nr matrix would be r = 4 of them.
     rng = np.random.default_rng(0)
     model = build_product(random_family(rng, 4, 150, [50] * 4))
-    cos_CD(model)  # C intersect D is cached on the model, outside the count
     nr, n = model.C.ambient_dim, model.family.ambient_dim
     tracemalloc.start()
     try:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from projbounds import ContainmentError, cli, generate_random, generate_two_subspace, parse_scenario
+from projbounds import cli, generate_random, generate_two_subspace, parse_scenario
 from projbounds.runner import (
     render_report,
     report_to_dict,
@@ -12,6 +12,7 @@ from projbounds.runner import (
     verify_battery,
 )
 from projbounds.scenario import Scenario, SubspaceSpec
+from projbounds.subspaces import SHARED_SINE_TOL
 from helpers import near_pair
 
 LINES_60 = """\
@@ -135,19 +136,18 @@ class TestRunScenario:
         assert [c.name for c in rep.check_outcomes] == list(s.checks)
         assert rep.scenario is s
 
-    @pytest.mark.xfail(strict=True, raises=ContainmentError,
-                       reason="near-coincident pair: the intersection's relative rank cutoff "
-                       "(300 * 1e-12) admits a direction with sine 1.7e-10, which the "
-                       "absolute containment test (1e-10) then rejects")
     def test_generated_near_coincident_pair_runs(self):
-        run_scenario(generate_two_subspace(1e-8, 300, 0, seed=0))
+        # sines 1.7e-10, above SHARED_SINE_TOL: two distinct lines
+        rep = run_scenario(generate_two_subspace(1e-8, 300, 0, seed=0))
+        assert rep.error is None and rep.all_passed()
 
     def test_pair_within_the_rank_cutoff_is_degenerate(self):
-        # A 3e-9 degree angle has sine 5.2e-11, below the intersection's
-        # cutoff, so the two lines are one line and every route says so.
-        rep = run_scenario(generate_two_subspace(3e-9, 300, 0, seed=0))
-        assert rep.friedrichs["gram_block"] == {"value": 0.0, "degenerate": True}
-        assert rep.q == 0.0 and rep.all_passed()
+        # Lines at a sine of half SHARED_SINE_TOL are one line, and every
+        # route says so; at twice it they are two, and the run passes too.
+        for sine, degenerate in ((SHARED_SINE_TOL / 2, True), (2 * SHARED_SINE_TOL, False)):
+            rep = run_scenario(generate_two_subspace(np.rad2deg(np.arcsin(sine)), 300, 0, seed=0))
+            assert rep.friedrichs["gram_block"]["degenerate"] is degenerate
+            assert (rep.q == 0.0) is degenerate and rep.all_passed()
 
     @pytest.mark.parametrize("method", ["simultaneous", "cyclic"])
     def test_first_step_bounded_on_a_pair_judged_degenerate(self, method):

@@ -200,8 +200,9 @@ class TestIntersectionOracle:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_near_coincident_families(self, seed):
-        # shared part perturbed by 1e-7: the sines are ~1e-7, far above the
-        # rank cutoff, so both formulas find no common part there
+        # shared part perturbed by 1e-7: the sines are ~1e-7, far above
+        # SHARED_SINE_TOL and the oracle's rank cutoff, so both formulas find
+        # no common part there
         rng = np.random.default_rng(900 + seed)
         n = int(rng.integers(6, 80))
         r = int(rng.integers(2, 6))
