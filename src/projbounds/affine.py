@@ -18,9 +18,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InfeasibleError, InputError
-from .methods import IterationTrace, cyclic_bound, error_profile, optimal_bound_simultaneous
-from .numlin import as_vector
+from .errors import InfeasibleError
+from .methods import IterationTrace, block_traces, cyclic_bound, optimal_bound_simultaneous
+from .methods import start_block
+from .numlin import as_points, as_vector
 from .subspaces import Family, Subspace
 
 __all__ = [
@@ -69,9 +70,11 @@ class AffineSubspace:
         return cls(anchor=point, direction=Subspace.from_spanning(spanning))
 
     def project(self, x) -> np.ndarray:
-        """Nearest point of the set to x, via P_V(x) = v + P_L(x - v)."""
-        v = as_vector(x, "vector", self.ambient_dim)
-        return self.anchor + self.direction.project(v - self.anchor)
+        """Nearest point of the set to x, or to each column of an
+        (ambient x m) block x, via P_V(x) = v + P_L(x - v)."""
+        x = as_points(x, self.ambient_dim)
+        v = self.anchor if x.ndim == 1 else self.anchor[:, None]
+        return v + self.direction.project(x - v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,19 +130,16 @@ def intersection_affine(affines) -> AffineSubspace:
     return AffineSubspace(anchor=solution, direction=fam.directions.intersection)
 
 
-def _affine_trace(fam: AffineFamily, x0, k_max, sweep, bound) -> IterationTrace:
-    if k_max < 0:
-        raise InputError("k_max must be nonnegative")
+def _affine_traces(fam: AffineFamily, starts, k_max, sweep, bound) -> list[IterationTrace]:
     target_set = fam.target
-    x = as_vector(x0, "start", target_set.ambient_dim)
-    errors = error_profile(x, target_set.project(x), sweep, k_max)
-    scale = np.linalg.norm(x - target_set.anchor)
-    bounds = bound(fam.directions, 1) ** np.arange(k_max + 1) * scale
-    return IterationTrace(start=x, errors=errors, bounds=bounds)
+    X = start_block(starts, target_set.ambient_dim)
+    powers = bound(fam.directions, 1) ** np.arange(k_max + 1)
+    scales = np.linalg.norm(X - target_set.anchor[:, None], axis=0)
+    return block_traces(X, X, target_set.project(X), sweep, powers, scales)
 
 
-def simultaneous_affine(affines, x0, k_max: int) -> IterationTrace:
-    """Averaged affine projections x <- (1/r) sum_i P_{V_i}(x).
+def simultaneous_affine(affines, starts, k_max: int) -> list[IterationTrace]:
+    """Averaged affine projections x <- (1/r) sum_i P_{V_i}(x) from each start.
 
     The bound attached is :func:`optimal_bound_simultaneous` of the
     directions times ||x0 - P_V(0)||: q^k, q = (r-1)/r cos(L_1, ..., L_r)
@@ -150,17 +150,17 @@ def simultaneous_affine(affines, x0, k_max: int) -> IterationTrace:
     fam = AffineFamily.of(affines)
     r = len(fam.members)
 
-    def sweep(x: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(x)
+    def sweep(X: np.ndarray) -> np.ndarray:
+        acc = np.zeros_like(X)
         for V in fam.members:
-            acc += V.project(x)
+            acc += V.project(X)
         return acc / r
 
-    return _affine_trace(fam, x0, k_max, sweep, optimal_bound_simultaneous)
+    return _affine_traces(fam, starts, k_max, sweep, optimal_bound_simultaneous)
 
 
-def cyclic_affine(affines, x0, k_max: int) -> IterationTrace:
-    """Cyclic sweeps x <- P_{V_r}(... P_{V_1}(x) ...).
+def cyclic_affine(affines, starts, k_max: int) -> list[IterationTrace]:
+    """Cyclic sweeps x <- P_{V_r}(... P_{V_1}(x) ...) from each start.
 
     The bound attached is :func:`cyclic_bound` of the directions times
     ||x0 - P_V(0)||: ||P_r' ... P_1'||^k, valid but not necessarily
@@ -169,9 +169,9 @@ def cyclic_affine(affines, x0, k_max: int) -> IterationTrace:
     """
     fam = AffineFamily.of(affines)
 
-    def sweep(x: np.ndarray) -> np.ndarray:
+    def sweep(X: np.ndarray) -> np.ndarray:
         for V in fam.members:
-            x = V.project(x)
-        return x
+            X = V.project(X)
+        return X
 
-    return _affine_trace(fam, x0, k_max, sweep, cyclic_bound)
+    return _affine_traces(fam, starts, k_max, sweep, cyclic_bound)

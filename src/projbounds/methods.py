@@ -162,20 +162,30 @@ def cyclic_operator(subspaces) -> IterOperator:
     return IterOperator(Family.of(subspaces), KIND_CYCLIC)
 
 
-def iterate(T: IterOperator, x0, k_max: int) -> IterationTrace:
-    """Run k_max steps of the method from x0, recording error norms.
+def iterate(T: IterOperator, starts, k_max: int) -> list[IterationTrace]:
+    """Run k_max steps of the method from each of ``starts``, one trace each.
 
-    Each step is a matrix-vector product (never a matrix power), matching
-    how the method runs in practice.  The attached bounds are
-    ``T.rate``^k * ||x0|| (q^k ||x0|| for the simultaneous kind), valid
-    for both kinds since T^k - P_M = (T - P_M)^k.
+    The starts walk as the columns of one block X, a step being one product
+    T X (never a matrix power), so each trace equals its start walked alone,
+    to rounding.  The attached bounds are ``T.rate``^k * ||x0|| (q^k ||x0||
+    for the simultaneous kind), valid as T^k - P_M = (T - P_M)^k.
     """
-    x = as_vector(x0, "start", T.family.ambient_dim)
-    if k_max < 0:
-        raise InputError("k_max must be nonnegative")
-    errors = error_profile(x, T.limit_projector @ x, lambda v: T.matrix @ v, k_max)
-    bounds = T.rate ** np.arange(k_max + 1) * np.linalg.norm(x)
-    return IterationTrace(start=x, errors=errors, bounds=bounds)
+    X = start_block(starts, T.family.ambient_dim)
+    powers, scales = T.rate ** np.arange(k_max + 1), np.linalg.norm(X, axis=0)
+    return block_traces(X, X, T.limit_projector @ X, lambda Y: T.matrix @ Y, powers, scales)
+
+
+def start_block(starts, n: int) -> np.ndarray:
+    """The starts, each a vector of length n, as the columns of one n x s block."""
+    return np.array([as_vector(x, "start", n) for x in starts]).reshape(-1, n).T
+
+
+def block_traces(X: np.ndarray, Y, target, step, powers, scales) -> list[IterationTrace]:
+    """One trace per column x of the start block X: the :func:`error_profile` of
+    x's column of Y (X or its lift, all walked by ``step`` at once) against its
+    ``target`` column, and bounds ``powers`` times its scale."""
+    errors = error_profile(Y, target, step, len(powers) - 1)
+    return [IterationTrace(x, e, powers * c) for x, e, c in zip(X.T, errors.T, scales)]
 
 
 def orbit(step, x):
@@ -186,9 +196,12 @@ def orbit(step, x):
         x = step(x)
 
 
-def error_profile(x: np.ndarray, target: np.ndarray, step, k_max: int) -> np.ndarray:
-    """||x_k - target|| for k = 0..k_max, where x_0 = x and x_k = step(x_(k-1))."""
-    errors = sweep(range(k_max + 1), lambda y: np.linalg.norm(y - target), orbit(step, x))
+def error_profile(X: np.ndarray, target: np.ndarray, step, k_max: int) -> np.ndarray:
+    """||X_k - target|| column by column for k = 0..k_max, a (k_max + 1, s)
+    array, where X_0 = X, an n x s block, and X_k = step(X_(k-1))."""
+    if k_max < 0:
+        raise InputError("k_max must be nonnegative")
+    errors = sweep(range(k_max + 1), lambda Y: np.linalg.norm(Y - target, axis=0), orbit(step, X))
     return np.array(list(errors.values()))
 
 

@@ -2,12 +2,12 @@
 
 Everything downstream (subspaces, projectors, angle computations, iteration
 operators) reduces to the four operations in this module: orthonormal
-bases and null spaces from the SVD, the general spectral norm from the
-singular values, and the norm of a symmetric matrix from its extreme
-eigenvalues (``eigvalsh``), which is several times cheaper than the SVD and
-is used only where symmetry holds by construction.  All routines are pure
-functions of float64 arrays; summations run in a fixed index order, so
-repeated runs on the same platform are bit-reproducible.
+bases and null spaces from the SVD, and two norms from eigenvalues
+(``eigvalsh``, several times cheaper than the SVD): the spectral norm from
+the smaller Gram matrix, and the norm of a matrix symmetric by construction
+from its extreme eigenvalues.  All routines are pure functions of float64
+arrays; summations run in a fixed index order, so repeated runs on one
+platform at one BLAS thread count are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -55,6 +55,14 @@ def as_vector(x, name: str = "vector", dim: int | None = None) -> np.ndarray:
     if dim is not None and v.shape[0] != dim:
         raise InputError(f"{name} has dimension {v.shape[0]}, expected {dim}")
     return v
+
+
+def as_points(x, dim: int) -> np.ndarray:
+    """A vector of length ``dim``, or a block of ``dim`` rows, one point a column."""
+    X = as_vector(x, "vector", dim) if np.ndim(x) != 2 else as_matrix(x, "block")
+    if X.shape[0] != dim:
+        raise InputError(f"block has {X.shape[0]} rows, expected {dim}")
+    return X
 
 
 def _rank(s: np.ndarray, shape: tuple[int, int]) -> int:
@@ -121,14 +129,16 @@ def null_space(A, cutoff: float | None = None) -> np.ndarray:
 
 
 def spectral_norm(A) -> float:
-    """Largest singular value of ``A`` (operator 2-norm).
-
-    For symmetric input this equals the largest absolute eigenvalue.
-    """
+    """Largest singular value of ``A`` (operator 2-norm): s sqrt(lambda_max),
+    lambda_max that of the smaller Gram matrix of G = A / s, s = max |A_ij|.
+    The scaling keeps blocks near 1e+-200 in range when squared."""
     M = as_matrix(A)
     if M.shape[0] == 0 or M.shape[1] == 0:
         raise InputError("spectral_norm requires a nonempty matrix")
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+    s = float(np.max(np.abs(M)))
+    G = M / (s or 1.0)
+    gram = G.T @ G if G.shape[0] >= G.shape[1] else G @ G.T
+    return s * float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 def symmetric_norm(A) -> float:

@@ -40,8 +40,8 @@ import numpy as np
 
 from .angles import friedrichs_gram, optimal_rate
 from .errors import DegenerateError, InputError
-from .methods import IterationTrace, error_profile, exponents, orbit, power_orbit, sweep
-from .numlin import as_vector, spectral_norm, symmetric_norm
+from .methods import IterationTrace, block_traces, exponents, orbit, power_orbit, start_block, sweep
+from .numlin import as_points, spectral_norm, symmetric_norm
 from .subspaces import Family, Subspace
 
 __all__ = [
@@ -100,14 +100,14 @@ def build_product(subspaces) -> ProductSpaceModel:
 
 
 def lift_diag(model: ProductSpaceModel, x) -> np.ndarray:
-    """The diagonal lift (x, ..., x) of a base-space vector.
+    """The diagonal lift (x, ..., x) of a base-space vector, or of each block column.
 
     Under the standard metric the lift has norm sqrt(r) ||x||; under the
     averaged metric it has norm ||x||.  Callers compare lifted vectors with
     lifted vectors, so either convention gives the same verdict.
     """
-    v = as_vector(x, "vector", model.family.ambient_dim)
-    return np.tile(v, len(model.family))
+    v = as_points(x, model.family.ambient_dim)
+    return np.concatenate([v] * len(model.family))
 
 
 def cos_CD(model: ProductSpaceModel) -> float:
@@ -175,39 +175,28 @@ def pierra_lift_residual(subspaces, starts, k_values) -> float:
     For each start x and step count k, compares (P_D P_C)^k applied to the
     lifted start against the lift of T^k(x), plus the projection of the
     lifted start onto C intersect D against the lift of P_M(x).  Each side
-    is applied through subspace bases, never as an n*r x n*r matrix; one
-    walk per start goes to the largest k.  ``subspaces`` may be a model
-    from :func:`build_product`.  ``k_values`` is one integer >= 0 or a
-    nonempty 1-d collection of them (:func:`methods.exponents`); ``starts``
-    must not be empty, since a residual over no starts would check nothing.
+    is applied through subspace bases, never as an n*r x n*r matrix, to all
+    starts as one block.  ``subspaces`` may be a model from
+    :func:`build_product`.  ``k_values`` is one integer >= 0 or a nonempty
+    1-d collection of them (:func:`methods.exponents`); ``starts`` must not
+    be empty, since a residual over no starts would check nothing.
     """
     ks = exponents(k_values, 0)
-    starts = list(starts)
-    if not starts:
-        raise InputError("pierra_lift_residual needs at least one start")
     model = subspaces if isinstance(subspaces, ProductSpaceModel) else build_product(subspaces)
     fam = model.family
-    T = fam.averaged_projector
-    worst = 0.0
-    for x in starts:
-        v = as_vector(x, "start", fam.ambient_dim)
-        lifted = lift_diag(model, v)
-        anchor = np.linalg.norm(model.limit(lifted) - lift_diag(model, fam.intersection.project(v)))
-        walks = orbit(model.step, lifted), orbit(lambda t: T @ t, v)
-        drift = sweep(ks, lambda y, t: np.linalg.norm(y - lift_diag(model, t)), *walks)
-        worst = max(worst, max(drift.values()) + anchor)
-    return worst
+    if not (X := start_block(starts, fam.ambient_dim)).shape[1]:
+        raise InputError("pierra_lift_residual needs at least one start")
+    T, lifted = fam.averaged_projector, lift_diag(model, X)
+    anchor = model.limit(lifted) - lift_diag(model, fam.intersection.project(X))
+    walks = orbit(model.step, lifted), orbit(lambda Z: T @ Z, X)
+    drift = sweep(ks, lambda Y, Z: np.linalg.norm(Y - lift_diag(model, Z), axis=0), *walks)
+    return float(np.max(np.max(list(drift.values()), axis=0) + np.linalg.norm(anchor, axis=0)))
 
 
 def product_alternating_traces(model: ProductSpaceModel, starts, k_max) -> list[IterationTrace]:
     """The lifted iteration y <- P_D P_C y of :func:`pierra_lift_residual`
-    from each start, against P_CD lift(x0), with bounds cos(C, D)^(2k)
-    ||lift(x0)||."""
-    c_prod = cos_CD(model)
-    traces = []
-    for x0 in starts:
-        lifted = lift_diag(model, x0)
-        errors = error_profile(lifted, model.limit(lifted), model.step, k_max)
-        bounds = c_prod ** (2 * np.arange(k_max + 1)) * np.linalg.norm(lifted)
-        traces.append(IterationTrace(start=x0, errors=errors, bounds=bounds))
-    return traces
+    from all starts as one block, against P_CD lift(x0), with bounds
+    cos(C, D)^(2k) ||lift(x0)||."""
+    X = start_block(starts, model.family.ambient_dim)
+    Y, powers = lift_diag(model, X), cos_CD(model) ** (2 * np.arange(k_max + 1))
+    return block_traces(X, Y, model.limit(Y), model.step, powers, np.linalg.norm(Y, axis=0))

@@ -141,12 +141,12 @@ def run_scenario(s: Scenario) -> Report:
     if inputs.starts:
         if affine is not None:
             sweep = simultaneous_affine if s.method == "simultaneous" else cyclic_affine
-            traces = [sweep(affine, x0, s.k_max) for x0 in inputs.starts]
+            traces = sweep(affine, inputs.starts, s.k_max)
         elif s.method == "product_alternating":
             traces = product_alternating_traces(inputs.product, inputs.starts, s.k_max)
         else:
             op = (simultaneous_operator if s.method == "simultaneous" else cyclic_operator)(family)
-            traces = [iterate(op, x0, s.k_max) for x0 in inputs.starts]
+            traces = iterate(op, inputs.starts, s.k_max)
         report.traces = inputs.traces = traces
 
     for name in s.checks:

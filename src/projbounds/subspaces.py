@@ -17,7 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContainmentError, InputError
-from .numlin import as_matrix, as_vector, null_space, orthonormal_basis, spectral_norm
+from .numlin import as_matrix, as_points, null_space, orthonormal_basis, spectral_norm
+from .numlin import symmetric_norm
 
 __all__ = ["Subspace", "Family", "intersection", "reduced_component", "PROJECTOR_EQ_TOL"]
 
@@ -49,7 +50,7 @@ class Subspace:
             raise InputError("ambient dimension must be at least 1")
         if d > n:
             raise InputError(f"basis has {d} columns in ambient dimension {n}")
-        if d and spectral_norm(Q.T @ Q - np.eye(d)) > ORTHONORMALITY_TOL:
+        if d and symmetric_norm(Q.T @ Q - np.eye(d)) > ORTHONORMALITY_TOL:
             raise InputError("basis columns are not orthonormal")
         Q = Q.copy()
         Q.setflags(write=False)
@@ -92,10 +93,7 @@ class Subspace:
     def project(self, x) -> np.ndarray:
         """Nearest point of the subspace to ``x``, or to each column of an
         (ambient x m) block ``x``."""
-        if np.ndim(x) != 2:
-            v = as_vector(x, "vector", self.ambient_dim)
-        elif (v := as_matrix(x, "block")).shape[0] != self.ambient_dim:
-            raise InputError(f"block has {v.shape[0]} rows, expected {self.ambient_dim}")
+        v = as_points(x, self.ambient_dim)
         return self.basis @ (self.basis.T @ v)
 
     def contains(self, other: "Subspace") -> bool:

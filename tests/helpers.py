@@ -1,8 +1,11 @@
 """Shared builders for the test suite."""
 
+from functools import reduce
+
 import numpy as np
 
 from projbounds import (
+    AffineFamily,
     Subspace,
     build_product,
     cos_CD,
@@ -94,6 +97,16 @@ def near_pair(rng: np.random.Generator, theta: float, n: int, d: int):
     Q = rotation(rng, n)[:, : 2 * d]
     A, U = Q[:, :d], Q[:, d:]
     return Subspace(A), Subspace(np.cos(theta) * A + np.sin(theta) * U)
+
+
+def shared_and_near_spans(rng: np.random.Generator, theta: float, n: int, shared: int, near: int):
+    """Orthonormal spans of two subspaces of R^n that share an exact
+    ``shared``-dimensional part E and have ``near`` further principal angles,
+    all ``theta`` radians: [E, A] and [E, cos(theta) A + sin(theta) U]."""
+    Q = rotation(rng, n)
+    E, A = Q[:, :shared], Q[:, shared : shared + near]
+    U = Q[:, shared + near : shared + 2 * near]
+    return [np.hstack([E, A]), np.hstack([E, np.cos(theta) * A + np.sin(theta) * U])]
 
 
 def same_subspace(A: Subspace, B: Subspace) -> bool:
@@ -189,3 +202,36 @@ def k_indexed_calls(subs, k):
         "optimal_bound_simultaneous": lambda: optimal_bound_simultaneous(subs, k),
         "cyclic_bound": lambda: cyclic_bound(subs, k),
     }
+
+
+def dense_walk_errors(step, target, x, k_max) -> np.ndarray:
+    """Test-only oracle: ||x_k - target|| for k = 0..k_max, the one start x
+    walked alone by ``step``, one matrix-vector product at a time."""
+    errors = []
+    for _ in range(k_max + 1):
+        errors.append(np.linalg.norm(x - target))
+        x = step(x)
+    return np.array(errors)
+
+
+def dense_trace_errors(method, family, x, k_max) -> np.ndarray:
+    """Test-only oracle: the errors of ``method``'s trace from the start x
+    alone, from dense matrices: T and P_M in R^n for the simultaneous and
+    cyclic methods, P_D P_C and P_CD in R^(n*r) for product_alternating,
+    and y -> v_i + P_i (y - v_i) for the members of an AffineFamily."""
+    if isinstance(family, AffineFamily):
+        sets = [(V.anchor, V.direction.projector()) for V in family.members]
+        t = family.target
+        target = t.anchor + t.direction.projector() @ (x - t.anchor)
+        if method == "simultaneous":
+            step = lambda y: sum(v + P @ (y - v) for v, P in sets) / len(sets)
+        else:
+            step = lambda y: reduce(lambda z, vP: vP[0] + vP[1] @ (z - vP[0]), sets, y)
+        return dense_walk_errors(step, target, x, k_max)
+    if method == "product_alternating":
+        model = build_product(family)
+        A, y = model.D.projector() @ model.C.projector(), np.tile(x, len(family))
+        return dense_walk_errors(lambda z: A @ z, model.CD.projector() @ y, y, k_max)
+    P = [S.projector() for S in family]
+    T = sum(P) / len(P) if method == "simultaneous" else reduce(lambda A, B: B @ A, P)
+    return dense_walk_errors(lambda z: T @ z, family.intersection.projector() @ x, x, k_max)

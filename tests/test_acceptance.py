@@ -120,12 +120,12 @@ def test_criterion_4_optimality_tightness(family_instances):
         subs, q = instance["subs"], instance["q"]
         T = simultaneous_operator(subs)
         _, _, Vt = np.linalg.svd(T.matrix - T.limit_projector)
-        star = iterate(T, Vt[0], 10)
+        [star] = iterate(T, [Vt[0]], 10)
         rng = np.random.default_rng(7)
         samples = []
         for _ in range(3):
             x = rng.standard_normal(subs[0].ambient_dim)
-            samples.append(iterate(T, x / np.linalg.norm(x), 10))
+            samples += iterate(T, [x / np.linalg.norm(x)], 10)
         for k in range(1, 11):
             assert star.errors[k] >= q**k - 1e-8
             for trace in samples:
@@ -184,15 +184,15 @@ def test_criterion_8_affine_translation_and_bound():
             (simultaneous_affine, simultaneous_operator),
             (cyclic_affine, cyclic_operator),
         ):
-            affine_trace = affine_run(fam, x0, 8)
-            linear_trace = iterate(op(directions), x0 - v, 8)
+            [affine_trace] = affine_run(fam, [x0], 8)
+            [linear_trace] = iterate(op(directions), [x0 - v], 8)
             assert np.abs(affine_trace.errors - linear_trace.errors).max() <= 1e-10
     # perpendicular-lines fixture: the simultaneous bound is attained at k = 1
     fam = [
         AffineSubspace.from_point_span(np.array([0.0, 1.0]), np.array([[1.0], [0.0]])),
         AffineSubspace.from_point_span(np.array([2.0, 0.0]), np.array([[0.0], [1.0]])),
     ]
-    trace = simultaneous_affine(fam, np.array([0.0, 0.0]), 3)
+    [trace] = simultaneous_affine(fam, [np.array([0.0, 0.0])], 3)
     assert abs(trace.errors[1] - trace.bounds[1]) <= 1e-8
 
 

@@ -130,7 +130,7 @@ class TestIntersection:
 class TestSimultaneousAffine:
     def test_perpendicular_lines_fixture(self):
         fam = [horizontal_line(1.0), vertical_line(2.0)]
-        trace = simultaneous_affine(fam, np.array([0.0, 0.0]), 3)
+        [trace] = simultaneous_affine(fam, [np.array([0.0, 0.0])], 3)
         # first iterate is the average (1, 0.5); target is (2, 1)
         assert trace.errors[1] == pytest.approx(np.sqrt(1.25), abs=1e-12)
         assert trace.bounds[1] == pytest.approx(0.5 * np.sqrt(5.0), abs=1e-12)
@@ -138,19 +138,19 @@ class TestSimultaneousAffine:
 
     def test_start_on_intersection(self):
         fam = [horizontal_line(1.0), vertical_line(2.0)]
-        trace = simultaneous_affine(fam, np.array([2.0, 1.0]), 4)
+        [trace] = simultaneous_affine(fam, [np.array([2.0, 1.0])], 4)
         assert np.allclose(trace.errors, 0.0, atol=1e-12)
 
     def test_identical_sets_converge_in_one_step(self):
         fam = [horizontal_line(1.0), horizontal_line(1.0)]
-        trace = simultaneous_affine(fam, np.array([5.0, 7.0]), 3)
+        [trace] = simultaneous_affine(fam, [np.array([5.0, 7.0])], 3)
         assert trace.errors[0] == pytest.approx(6.0, abs=1e-12)
         assert np.allclose(trace.errors[1:], 0.0, atol=1e-12)
 
     def test_infeasible_family_raises(self):
         with pytest.raises(InfeasibleError):
             simultaneous_affine(
-                [horizontal_line(0.0), horizontal_line(1.0)], np.zeros(2), 2
+                [horizontal_line(0.0), horizontal_line(1.0)], [np.zeros(2)], 2
             )
 
     @pytest.mark.parametrize("seed", range(6))
@@ -160,10 +160,10 @@ class TestSimultaneousAffine:
         rng = np.random.default_rng(300 + seed)
         fam, _ = random_affine_family(rng, int(rng.integers(2, 5)), int(rng.integers(3, 12)))
         x0 = rng.standard_normal(fam[0].ambient_dim)
-        affine_trace = simultaneous_affine(fam, x0, 8)
+        [affine_trace] = simultaneous_affine(fam, [x0], 8)
         v = intersection_affine(fam).anchor
         linear_T = simultaneous_operator([V.direction for V in fam])
-        linear_trace = iterate(linear_T, x0 - v, 8)
+        [linear_trace] = iterate(linear_T, [x0 - v], 8)
         assert np.abs(affine_trace.errors - linear_trace.errors).max() <= 1e-10
 
     @pytest.mark.parametrize("seed", range(6))
@@ -171,27 +171,27 @@ class TestSimultaneousAffine:
         rng = np.random.default_rng(400 + seed)
         fam, _ = random_affine_family(rng, int(rng.integers(2, 5)), int(rng.integers(3, 12)))
         x0 = rng.standard_normal(fam[0].ambient_dim)
-        trace = simultaneous_affine(fam, x0, 8)
+        [trace] = simultaneous_affine(fam, [x0], 8)
         assert trace.max_violation() <= 1e-10
         # adversarial start: least-norm point plus top singular vector of
         # the linear error operator
         linear_T = simultaneous_operator([V.direction for V in fam])
         _, _, Vt = np.linalg.svd(linear_T.matrix - linear_T.limit_projector)
         v = intersection_affine(fam).anchor
-        star = simultaneous_affine(fam, v + Vt[0], 8)
+        [star] = simultaneous_affine(fam, [v + Vt[0]], 8)
         assert (star.errors >= star.bounds - 1e-8).all()
 
 
 class TestCyclicAffine:
     def test_perpendicular_lines_land_in_one_sweep(self):
         fam = [horizontal_line(1.0), vertical_line(2.0)]
-        trace = cyclic_affine(fam, np.array([0.0, 0.0]), 2)
+        [trace] = cyclic_affine(fam, [np.array([0.0, 0.0])], 2)
         assert trace.errors[0] == pytest.approx(np.sqrt(5.0), abs=1e-12)
         assert np.allclose(trace.errors[1:], 0.0, atol=1e-12)
 
     def test_start_on_intersection(self):
         fam = [horizontal_line(1.0), vertical_line(2.0)]
-        trace = cyclic_affine(fam, np.array([2.0, 1.0]), 3)
+        [trace] = cyclic_affine(fam, [np.array([2.0, 1.0])], 3)
         assert np.allclose(trace.errors, 0.0, atol=1e-12)
 
     def test_linear_case_reduces_to_alternating_bound(self):
@@ -203,7 +203,7 @@ class TestCyclicAffine:
             AffineSubspace(anchor=np.zeros(2), direction=M2),
         ]
         x0 = np.array([0.8, -0.6])
-        trace = cyclic_affine(fam, x0, 6)
+        [trace] = cyclic_affine(fam, [x0], 6)
         base = cyclic_bound([M1, M2], 1)
         assert base == pytest.approx(0.5, abs=1e-12)
         for k in range(1, 7):
@@ -215,12 +215,12 @@ class TestCyclicAffine:
         rng = np.random.default_rng(500 + seed)
         fam, _ = random_affine_family(rng, int(rng.integers(2, 5)), int(rng.integers(3, 12)))
         x0 = rng.standard_normal(fam[0].ambient_dim)
-        trace = cyclic_affine(fam, x0, 8)
+        [trace] = cyclic_affine(fam, [x0], 8)
         assert trace.max_violation() <= 1e-10
         from projbounds import cyclic_operator
 
         v = intersection_affine(fam).anchor
-        linear_trace = iterate(cyclic_operator([V.direction for V in fam]), x0 - v, 8)
+        [linear_trace] = iterate(cyclic_operator([V.direction for V in fam]), [x0 - v], 8)
         assert np.abs(trace.errors - linear_trace.errors).max() <= 1e-10
 
 
@@ -239,13 +239,14 @@ class TestAffineFamily:
         rng = np.random.default_rng(7)
         members, _ = random_affine_family(rng, 3, 6)
         fam = AffineFamily.of(members)
-        starts = rng.standard_normal((4, 6))
+        starts = list(rng.standard_normal((4, 6)))
         for sweep in (simultaneous_affine, cyclic_affine):
-            shared = [sweep(fam, x0, 5) for x0 in starts]
+            shared = [sweep(fam, [x0], 5)[0] for x0 in starts]
             for x0, trace in zip(starts, shared):
-                fresh = sweep(members, x0, 5)
+                [fresh] = sweep(members, [x0], 5)
                 assert np.array_equal(trace.errors, fresh.errors)
                 assert np.array_equal(trace.bounds, fresh.bounds)
+            assert len(sweep(fam, starts, 5)) == len(starts)
         assert len(calls) == 1 + 2 * len(starts)  # once for fam, once per fresh call
         assert AffineFamily.of(fam) is fam
 

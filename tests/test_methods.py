@@ -107,7 +107,7 @@ class TestOperators:
 class TestIterate:
     def test_halving_on_orthogonal_axes(self):
         T = simultaneous_operator(orthogonal_axes())
-        trace = iterate(T, np.array([1.0, 1.0]), 4)
+        [trace] = iterate(T, [np.array([1.0, 1.0])], 4)
         expected = SQRT2 / 2.0 ** np.arange(5)
         assert np.allclose(trace.errors, expected, atol=1e-14)
         assert np.allclose(trace.bounds, expected, atol=1e-12)
@@ -116,38 +116,38 @@ class TestIterate:
         M1, M2 = lines_exact_60()
         # the common part here is trivial, so iterate from the origin
         T = simultaneous_operator([M1, M2])
-        trace = iterate(T, np.zeros(2), 3)
+        [trace] = iterate(T, [np.zeros(2)], 3)
         assert np.allclose(trace.errors, 0.0, atol=1e-14)
 
     def test_member_of_intersection_is_fixed(self):
         A = Subspace.from_spanning(np.eye(3)[:, :2])
         B = Subspace.from_spanning(np.eye(3)[:, 1:])
         T = simultaneous_operator([A, B])
-        trace = iterate(T, np.array([0.0, 2.0, 0.0]), 5)
+        [trace] = iterate(T, [np.array([0.0, 2.0, 0.0])], 5)
         assert np.allclose(trace.errors, 0.0, atol=1e-12)
 
     def test_cyclic_zero_operator_converges_in_one_step(self):
         T = cyclic_operator(orthogonal_axes())
-        trace = iterate(T, np.array([1.0, 1.0]), 3)
+        [trace] = iterate(T, [np.array([1.0, 1.0])], 3)
         assert trace.errors[0] == pytest.approx(SQRT2, abs=1e-14)
         assert np.allclose(trace.errors[1:], 0.0, atol=1e-14)
 
     def test_dimension_mismatch(self):
         T = simultaneous_operator(orthogonal_axes())
         with pytest.raises(InputError):
-            iterate(T, np.array([1.0, 2.0, 3.0]), 2)
+            iterate(T, [np.array([1.0, 2.0, 3.0])], 2)
 
     def test_negative_k_max(self):
         T = simultaneous_operator(orthogonal_axes())
         with pytest.raises(InputError):
-            iterate(T, np.array([1.0, 1.0]), -1)
+            iterate(T, [np.array([1.0, 1.0])], -1)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_trace_invariants_random(self, seed):
         rng = np.random.default_rng(40 + seed)
         subs = random_family(rng, int(rng.integers(2, 5)), int(rng.integers(3, 20)))
         for T in (simultaneous_operator(subs), cyclic_operator(subs)):
-            trace = iterate(T, rng.standard_normal(subs[0].ambient_dim), 12)
+            [trace] = iterate(T, [rng.standard_normal(subs[0].ambient_dim)], 12)
             assert (trace.errors >= 0.0).all()
             assert trace.max_violation() <= 1e-10
             if T.kind == "simultaneous":
@@ -180,8 +180,11 @@ class TestIterate:
                 rate = T.rate
             for _ in range(3):
                 x = rng.standard_normal(8)
-                trace = iterate(T, x, 5)
-                assert np.array_equal(trace.bounds, T.rate ** np.arange(6) * np.linalg.norm(x))
+                [trace] = iterate(T, [x], 5)
+                # the scale ||x|| is a column norm of the start block, equal
+                # to np.linalg.norm(x) to rounding; the rate's powers exactly
+                assert np.array_equal(trace.bounds, T.rate ** np.arange(6) * trace.bounds[0])
+                assert trace.bounds[0] == pytest.approx(np.linalg.norm(x), rel=1e-15)
             assert T.rate == rate and len(calls) == 1, T.kind
 
     @pytest.mark.parametrize("seed", range(10))
@@ -322,7 +325,7 @@ class TestBounds:
         T = simultaneous_operator(subs)
         x0 = rng.standard_normal(subs[0].ambient_dim)
         x0 /= np.linalg.norm(x0)
-        trace = iterate(T, x0, 10)
+        [trace] = iterate(T, [x0], 10)
         for k in range(1, 11):
             assert trace.errors[k] <= optimal_bound_simultaneous(subs, k) + 1e-10
 
@@ -333,7 +336,7 @@ class TestBounds:
         T = simultaneous_operator(subs)
         _, _, Vt = np.linalg.svd(T.matrix - T.limit_projector)
         star = Vt[0]
-        trace = iterate(T, star, 10)
+        [trace] = iterate(T, [star], 10)
         for k in range(1, 11):
             assert trace.errors[k] >= optimal_bound_simultaneous(subs, k) - 1e-8
 

@@ -4,7 +4,9 @@ lemma identity T^k - P_M = (T - P_M)^k (DeMillo, Lipton & Sayward,
 
 Each row of ``FAULTS`` plants one small fault with ``monkeypatch`` and
 names the checks that must fail on one fixed family because of it; every
-other check must still pass.  The unmutated code passes them all.  Each
+other check must still pass.  A third item, when present, holds scenario
+fields to set, such as the number of starts.  The unmutated code passes
+every check on each row's scenario.  Each
 independent path of the norm chain has its own row, so no member can
 turn into a copy of another unnoticed, and so has each side of the
 lemma.  The family has a one-dimensional common part, so C intersect D
@@ -28,15 +30,15 @@ from projbounds.subspaces import Family, Subspace
 N = 6
 
 
-def scenario(method="product_alternating"):
+def scenario(method="product_alternating", **fields):
     rng = np.random.default_rng(2024)
     common = rng.standard_normal((N, 1))
     spans = [np.hstack([common, rng.standard_normal((N, d))]) for d in (2, 3, 2)]
-    return Scenario.generated("mutation-gate", N, spans, 7, k_max=8, method=method)
+    return replace(Scenario.generated("mutation-gate", N, spans, 7, k_max=8, method=method), **fields)
 
 
-def failed_checks(method="product_alternating"):
-    report = run_scenario(scenario(method))
+def failed_checks(method="product_alternating", **fields):
+    report = run_scenario(scenario(method, **fields))
     assert report.error is None
     return {c.name for c in report.check_outcomes if not c.passed}
 
@@ -84,10 +86,7 @@ def anchor_from_base(monkeypatch):
     trivial_CD(monkeypatch)
 
     def limit(model, y):
-        base = model.family.intersection.project(y[:N])
-        if base.ndim == 1:
-            return lift_diag(model, base)
-        return np.column_stack([lift_diag(model, column) for column in base.T])
+        return lift_diag(model, model.family.intersection.project(y[:N]))
 
     monkeypatch.setattr(ProductSpaceModel, "limit", limit)
 
@@ -132,6 +131,21 @@ def span_without_last_column(monkeypatch):
     patch_product(monkeypatch, change)
 
 
+def has_orthonormal_columns(X):
+    return np.allclose(X.T @ X, np.eye(X.shape[1]), atol=1e-12)
+
+
+def targets_from_first_start(monkeypatch):
+    """Every start's trace measures its error against the target of the
+    first start of the block, a column mixed into its neighbours."""
+    real = methods.error_profile
+
+    def error_profile(X, target, step, k_max):
+        return real(X, np.repeat(target[:, :1], X.shape[1], axis=1), step, k_max)
+
+    monkeypatch.setattr(methods, "error_profile", error_profile)
+
+
 def scaled(monkeypatch, name):
     """``productspace.<name>`` returns its value times 1 + 1e-6."""
     real = getattr(productspace, name)
@@ -161,9 +175,10 @@ FAULTS = {
     ),
     "chain member 3: optimal rate scaled": (lambda mp: scaled(mp, "optimal_rate"), {"norm_chain"}),
     "chain member 4: cos(C, D) scaled": (lambda mp: scaled(mp, "cos_CD"), {"norm_chain"}),
-    # The chain walks D's basis, a block; Pierra's walks are of vectors.
+    # The chain walks Q_D times the span, whose columns are orthonormal;
+    # Pierra's walks are of the starts.
     "chain members 5 and 6: walk of D's basis one step ahead": (
-        lambda mp: walk_one_step_ahead(mp, lambda x: x.ndim == 2),
+        lambda mp: walk_one_step_ahead(mp, has_orthonormal_columns),
         {"norm_chain"},
     ),
     # Members 1 and 2 walk the family's span through T, the chain's only
@@ -188,6 +203,14 @@ FAULTS = {
         lambda mp: power_walk_one_step_ahead(mp, lambda A: A.flags.writeable),
         {"lemma_identity"},
     ),
+    # The starts walk as one block; each trace must read its own column.
+    # C intersect D is a line, so two starts' targets can lie close; of
+    # four starts, some lie far enough from the first's target to show.
+    "every start's target taken from the first start's column": (
+        targets_from_first_start,
+        {"bounds"},
+        {"random_starts": 4},
+    ),
 }
 
 
@@ -197,9 +220,11 @@ def test_unmutated_code_passes_every_check():
 
 @pytest.mark.parametrize("fault", FAULTS)
 def test_fault_fails_exactly_its_checks(monkeypatch, fault):
-    plant, expected = FAULTS[fault]
+    plant, expected, *fields = FAULTS[fault]
+    fields = fields[0] if fields else {}
+    assert failed_checks(**fields) == set()
     plant(monkeypatch)
-    assert failed_checks() == expected
+    assert failed_checks(**fields) == expected
 
 
 @pytest.mark.parametrize("method", ["simultaneous", "cyclic"])

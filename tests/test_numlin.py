@@ -145,6 +145,49 @@ class TestSpectralNorm:
         assert spectral_norm(A @ B) <= spectral_norm(A) * spectral_norm(B) + 1e-10
 
 
+def _oracle_inputs():
+    rng = np.random.default_rng(2025)
+    return {
+        "tall": rng.standard_normal((600, 150)),
+        "wide": rng.standard_normal((40, 300)),
+        "square": rng.standard_normal((80, 80)),
+        "rank-1": np.outer(rng.standard_normal(50), rng.standard_normal(30)),
+        "1x1": np.array([[-3.7]]),
+    }
+
+
+ORACLE_INPUTS = _oracle_inputs()
+
+
+class TestSpectralNormOracle:
+    """The eigenvalue route against the largest singular value from the SVD."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    @pytest.mark.parametrize("name", ORACLE_INPUTS)
+    def test_matches_svd(self, name, scale):
+        A = ORACLE_INPUTS[name] * scale
+        sigma = float(np.linalg.svd(A, compute_uv=False)[0])
+        assert np.isfinite(sigma) and sigma > 0.0
+        assert abs(spectral_norm(A) - sigma) <= 1e-13 * sigma
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (2, 7), (50, 50)])
+    def test_zero_matrix_is_exactly_zero(self, shape):
+        assert spectral_norm(np.zeros(shape)) == 0.0
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_rejects_empty(self, shape):
+        with pytest.raises(InputError):
+            spectral_norm(np.zeros(shape))
+
+    def test_calls_no_svd(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("spectral_norm called the SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        for A in ORACLE_INPUTS.values():
+            spectral_norm(A)
+
+
 class TestNullSpaceShapes:
     @pytest.mark.parametrize("shape", [(40, 7), (7, 40), (12, 12)])
     def test_kernel_dimension_tall_wide_square(self, shape):
