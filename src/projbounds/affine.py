@@ -134,8 +134,7 @@ def _affine_traces(fam: AffineFamily, starts, k_max, sweep, bound) -> list[Itera
     target_set = fam.target
     X = start_block(starts, target_set.ambient_dim)
     powers = bound(fam.directions, 1) ** np.arange(k_max + 1)
-    scales = np.linalg.norm(X - target_set.anchor[:, None], axis=0)
-    return block_traces(X, X, target_set.project(X), sweep, powers, scales)
+    return block_traces(X, target_set.project(X), sweep, powers, offset=target_set.anchor)
 
 
 def simultaneous_affine(affines, starts, k_max: int) -> list[IterationTrace]:

@@ -171,8 +171,7 @@ def iterate(T: IterOperator, starts, k_max: int) -> list[IterationTrace]:
     for the simultaneous kind), valid as T^k - P_M = (T - P_M)^k.
     """
     X = start_block(starts, T.family.ambient_dim)
-    powers, scales = T.rate ** np.arange(k_max + 1), np.linalg.norm(X, axis=0)
-    return block_traces(X, X, T.limit_projector @ X, lambda Y: T.matrix @ Y, powers, scales)
+    return block_traces(X, T.limit_projector @ X, lambda Y: T.matrix @ Y, T.rate ** np.arange(k_max + 1))
 
 
 def start_block(starts, n: int) -> np.ndarray:
@@ -180,12 +179,13 @@ def start_block(starts, n: int) -> np.ndarray:
     return np.array([as_vector(x, "start", n) for x in starts]).reshape(-1, n).T
 
 
-def block_traces(X: np.ndarray, Y, target, step, powers, scales) -> list[IterationTrace]:
+def block_traces(X: np.ndarray, target, step, powers, Y=None, offset=0.0) -> list[IterationTrace]:
     """One trace per column x of the start block X: the :func:`error_profile` of
-    x's column of Y (X or its lift, all walked by ``step`` at once) against its
-    ``target`` column, and bounds ``powers`` times its scale."""
+    x's column y of Y (X by default, or its lift; all walked by ``step`` at
+    once) against its ``target`` column, and bounds ``powers`` * ||y - offset||."""
+    Y = X if Y is None else Y
     errors = error_profile(Y, target, step, len(powers) - 1)
-    return [IterationTrace(x, e, powers * c) for x, e, c in zip(X.T, errors.T, scales)]
+    return [IterationTrace(x, e, powers * np.linalg.norm(y)) for x, e, y in zip(X.T, errors.T, Y.T - offset)]
 
 
 def orbit(step, x):

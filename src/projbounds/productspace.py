@@ -199,4 +199,4 @@ def product_alternating_traces(model: ProductSpaceModel, starts, k_max) -> list[
     cos(C, D)^(2k) ||lift(x0)||."""
     X = start_block(starts, model.family.ambient_dim)
     Y, powers = lift_diag(model, X), cos_CD(model) ** (2 * np.arange(k_max + 1))
-    return block_traces(X, Y, model.limit(Y), model.step, powers, np.linalg.norm(Y, axis=0))
+    return block_traces(X, model.limit(Y), model.step, powers, Y)

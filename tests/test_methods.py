@@ -181,10 +181,7 @@ class TestIterate:
             for _ in range(3):
                 x = rng.standard_normal(8)
                 [trace] = iterate(T, [x], 5)
-                # the scale ||x|| is a column norm of the start block, equal
-                # to np.linalg.norm(x) to rounding; the rate's powers exactly
-                assert np.array_equal(trace.bounds, T.rate ** np.arange(6) * trace.bounds[0])
-                assert trace.bounds[0] == pytest.approx(np.linalg.norm(x), rel=1e-15)
+                assert np.array_equal(trace.bounds, T.rate ** np.arange(6) * np.linalg.norm(x))
             assert T.rate == rate and len(calls) == 1, T.kind
 
     @pytest.mark.parametrize("seed", range(10))

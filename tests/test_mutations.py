@@ -4,9 +4,7 @@ lemma identity T^k - P_M = (T - P_M)^k (DeMillo, Lipton & Sayward,
 
 Each row of ``FAULTS`` plants one small fault with ``monkeypatch`` and
 names the checks that must fail on one fixed family because of it; every
-other check must still pass.  A third item, when present, holds scenario
-fields to set, such as the number of starts.  The unmutated code passes
-every check on each row's scenario.  Each
+other check must still pass.  The unmutated code passes them all.  Each
 independent path of the norm chain has its own row, so no member can
 turn into a copy of another unnoticed, and so has each side of the
 lemma.  The family has a one-dimensional common part, so C intersect D
@@ -30,15 +28,16 @@ from projbounds.subspaces import Family, Subspace
 N = 6
 
 
-def scenario(method="product_alternating", **fields):
+def scenario(method="product_alternating"):
     rng = np.random.default_rng(2024)
     common = rng.standard_normal((N, 1))
     spans = [np.hstack([common, rng.standard_normal((N, d))]) for d in (2, 3, 2)]
-    return replace(Scenario.generated("mutation-gate", N, spans, 7, k_max=8, method=method), **fields)
+    gate = Scenario.generated("mutation-gate", N, spans, 7, k_max=8, method=method)
+    return replace(gate, random_starts=4)
 
 
-def failed_checks(method="product_alternating", **fields):
-    report = run_scenario(scenario(method, **fields))
+def failed_checks(method="product_alternating"):
+    report = run_scenario(scenario(method))
     assert report.error is None
     return {c.name for c in report.check_outcomes if not c.passed}
 
@@ -209,7 +208,6 @@ FAULTS = {
     "every start's target taken from the first start's column": (
         targets_from_first_start,
         {"bounds"},
-        {"random_starts": 4},
     ),
 }
 
@@ -220,11 +218,9 @@ def test_unmutated_code_passes_every_check():
 
 @pytest.mark.parametrize("fault", FAULTS)
 def test_fault_fails_exactly_its_checks(monkeypatch, fault):
-    plant, expected, *fields = FAULTS[fault]
-    fields = fields[0] if fields else {}
-    assert failed_checks(**fields) == set()
+    plant, expected = FAULTS[fault]
     plant(monkeypatch)
-    assert failed_checks(**fields) == expected
+    assert failed_checks() == expected
 
 
 @pytest.mark.parametrize("method", ["simultaneous", "cyclic"])
