@@ -100,10 +100,10 @@ class IterOperator:
 
     @property
     def domain(self) -> np.ndarray:
-        """Orthonormal basis Q outside whose span T and P_M vanish, so every
-        error operator E = E Q Q^T: M_1's for the cyclic kind (T begins with
-        P_1, and M lies in M_1), the family's span for the simultaneous kind."""
-        return self.family.members[0].basis if self.kind == KIND_CYCLIC else self.family.span
+        """Orthonormal Q with E = E Q Q^T for every error operator E, up to
+        :attr:`Family.defects`: a basis of M_1' = M_1 intersect M-perp for the
+        cyclic kind, else :attr:`Family.reduced_span` (M_1' + ... + M_r')."""
+        return self.family.reduced[0].basis if self.kind == KIND_CYCLIC else self.family.reduced_span
 
     @cached_property
     def rate(self) -> float:
@@ -251,9 +251,9 @@ def _block_norm(Z: np.ndarray) -> float:
 def error_operator_norm(T: IterOperator, k):
     """|| T^k - P_M ||, computed as the norm of (T - P_M)^k Q.
 
-    (T - P_M)^k vanishes outside ``T.domain``, whose basis is Q.  Walking
-    the difference operator keeps full relative accuracy even when T^k is
-    already close to P_M; k = 0 is excluded by contract.
+    (T - P_M)^k vanishes outside ``T.domain``, whose basis is Q, up to
+    :attr:`Family.defects`.  Walking the difference operator keeps full
+    relative accuracy even when T^k is near P_M; k = 0 is excluded by contract.
     """
     ks = exponents(k)
     walk = power_orbit(T.matrix - T.limit_projector, T.domain)
@@ -294,9 +294,9 @@ def cyclic_bound(subspaces, k):
 def verify_error_identity(T: IterOperator, k):
     """Residual || (T^k - P_M) - (T - P_M)^k || with independent sides.
 
-    Both sides vanish outside ``T.domain``, so both walk its basis Q: the
-    left side through T, minus P_M Q; the right through T - P_M.  Agreement
-    of the two is evidence for the absorption identity, not a tautology.
+    Both sides vanish outside ``T.domain``, so both walk its basis Q: the left
+    side through T, minus P_M Q; the right through T - P_M.  Agreement is evidence
+    for absorption, not a tautology; on M, :meth:`Subspace.contains` decides it.
     """
     ks = exponents(k)
     Q, P = T.domain, T.limit_projector

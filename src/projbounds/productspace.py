@@ -16,7 +16,7 @@ central identity checked here is the five-link chain
 with T the averaged projector and P_CD the projector onto C intersect D.
 P_C, P_D and P_CD act through the bases of C, D and C intersect D, never
 as n*r x n*r matrices; the two product-operator members are norms of
-n*r x m blocks, m <= min(n, dim C) (see :func:`chain_residual_profile`).
+n*r x m blocks, m <= sum (dim M_i - dim M) (see :func:`chain_residual_profile`).
 
 On the inner product: the product space is often equipped with the
 averaged form <x, y> = (1/r) sum_i <x_i, y_i>.  That is a uniform positive
@@ -129,19 +129,19 @@ def chain_residual_profile(subspaces, k_values) -> np.ndarray:
     q^k, the product-space angle cos(C, D)^(2k), ||P_D P_C P_D - P_CD||^k
     and ||(P_D P_C P_D)^k - P_CD||; the second and fifth are the k = 1
     values of the first's and sixth's walks to the k.
-    Members 1 and 2 walk S, the family's n x m span, through T: T^k - P_M
-    is symmetric and vanishes outside M_1 + ... + M_r, which S spans, so
-    its norm is that of the m x m block S^T (T^k S - P_M S).  Members 5 and
-    6 walk B = Q_D S = lift(S)/sqrt(r) through the lifted step: A_k =
-    (P_D P_C P_D)^k - P_CD equals A_k P_D (C intersect D lies in D) and
-    vanishes on the lift of (M_1 + ... + M_r)-perp, which P_C and P_CD
-    annihilate, so ||A_k|| is the largest singular value of the n*r x m
-    block (P_D P_C)^k B - P_CD B (the walk starts in D, where P_D P_C is
-    the sandwiched operator).  ``subspaces`` may be a model from
-    :func:`build_product`; a degenerate family (:attr:`Family.degenerate`)
-    raises DegenerateError before any product space is built.  ``k_values``
-    is one integer >= 1 or a nonempty 1-d collection of them
-    (:func:`methods.exponents`).
+    Members 1 and 2 walk S = :attr:`Family.reduced_span`, a basis of the
+    sum of the M_i' = M_i intersect M-perp, through T: T^k - P_M is
+    symmetric and vanishes on M and (M_1 + ... + M_r)-perp, so (up to
+    :attr:`Family.defects`) its norm is that of S^T (T^k S - P_M S).
+    Members 5 and 6 walk B = Q_D S = lift(S)/sqrt(r), the lift of that sum,
+    through the lifted step: A_k = (P_D P_C P_D)^k - P_CD equals A_k P_D and
+    vanishes on C intersect D (in D) and on the lift of (M_1 + ... +
+    M_r)-perp, so ||A_k|| is the largest singular value of (P_D P_C)^k B -
+    P_CD B (the walk starts in D, where P_D P_C is the sandwiched operator).
+    ``subspaces`` may be a model from :func:`build_product`; a degenerate
+    family (:attr:`Family.degenerate`) raises DegenerateError before any
+    product space is built.  ``k_values`` is one integer >= 1 or a nonempty 1-d
+    collection of them (:func:`methods.exponents`).
     """
     ks = exponents(k_values)
     walked = np.append(ks, 1)
@@ -152,7 +152,7 @@ def chain_residual_profile(subspaces, k_values) -> np.ndarray:
             "every subspace equals the intersection: all six chain members "
             "are identically zero and the chain holds trivially"
         )
-    S = fam.span
+    S = fam.reduced_span
     P_M_S, walk = fam.intersection.project(S), power_orbit(fam.averaged_projector, S)
     base = sweep(walked, lambda TkS: symmetric_norm(S.T @ (TkS - P_M_S)), walk)
     q = optimal_rate(friedrichs_gram(fam), len(fam))

@@ -158,9 +158,9 @@ def reduced_component(Mi: Subspace, M: Subspace) -> Subspace:
 class Family:
     """A nonempty family M_1, ..., M_r of subspaces of one R^n, validated once.
 
-    The intersection, the reduced components and what is read from them,
-    the span and the averaged projector are computed on first use and
-    kept.  Iterating a family yields its members.
+    The intersection, the reduced components and what is read from them
+    (their span too) and the averaged projector are computed on first use
+    and kept.  Iterating a family yields its members.
     """
 
     members: tuple[Subspace, ...]
@@ -228,10 +228,10 @@ class Family:
         return float(np.linalg.eigvalsh(B.T @ B)[-1])
 
     @cached_property
-    def span(self) -> np.ndarray:
-        """Read-only orthonormal n x min(n, sum dim M_i) basis whose span holds
-        M_1 + ... + M_r: Q of the stacked member bases' QR, no rank decision."""
-        Q = np.linalg.qr(np.hstack([S.basis for S in self]))[0]
+    def reduced_span(self) -> np.ndarray:
+        """Read-only orthonormal n x min(n, sum dim M_i') basis holding M_1' +
+        ... + M_r': Q of the stacked reduced bases' QR, no rank decision."""
+        Q = np.linalg.qr(np.hstack([R.basis for R in self.reduced]))[0]
         Q.setflags(write=False)
         return Q
 

@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from projbounds import checks, methods, productspace
+from projbounds import checks, methods, productspace, subspaces
 from projbounds.productspace import ProductSpaceModel, lift_diag
 from projbounds.runner import run_scenario
 from projbounds.scenario import Scenario
@@ -118,16 +118,27 @@ def power_walk_one_step_ahead(monkeypatch, ahead, module=methods):
     monkeypatch.setattr(module, "power_orbit", power_orbit)
 
 
-def span_without_last_column(monkeypatch):
-    """The product model reads a copy of the family whose span lacks its
-    last column; the lemma still reads the real family."""
+def reduced_span_without_first_column(monkeypatch):
+    """The product model reads a copy of the family whose reduced span lacks
+    its first column; the lemma still reads the real family.  (Its last
+    column is no fault: the gate's reduced parts, 2 + 3 + 2 columns in R^6,
+    span M-perp only, so the sixth column of their QR carries no error.)"""
 
     def change(model):
         family = Family(model.family.members)
-        monkeypatch.setitem(family.__dict__, "span", model.family.span[:, :-1])
+        monkeypatch.setitem(family.__dict__, "reduced_span", model.family.reduced_span[:, 1:])
         return replace(model, family=family)
 
     patch_product(monkeypatch, change)
+
+
+def reduced_components_one_short(monkeypatch):
+    real = subspaces.reduced_component
+
+    def reduced_component(Mi, M):
+        return Subspace(real(Mi, M).basis[:, :-1])
+
+    monkeypatch.setattr(subspaces, "reduced_component", reduced_component)
 
 
 def has_orthonormal_columns(X):
@@ -174,24 +185,28 @@ FAULTS = {
     ),
     "chain member 3: optimal rate scaled": (lambda mp: scaled(mp, "optimal_rate"), {"norm_chain"}),
     "chain member 4: cos(C, D) scaled": (lambda mp: scaled(mp, "cos_CD"), {"norm_chain"}),
-    # The chain walks Q_D times the span, whose columns are orthonormal;
+    # The chain walks Q_D times the reduced span, whose columns are orthonormal;
     # Pierra's walks are of the starts.
     "chain members 5 and 6: walk of D's basis one step ahead": (
         lambda mp: walk_one_step_ahead(mp, has_orthonormal_columns),
         {"norm_chain"},
     ),
-    # Members 1 and 2 walk the family's span through T, the chain's only
+    # Members 1 and 2 walk the reduced span through T, the chain's only
     # power walk.
     "chain member 1: walk of T on the span one step ahead": (
         lambda mp: power_walk_one_step_ahead(mp, lambda A: True, productspace),
         {"norm_chain"},
     ),
-    # The product walk starts from the lift of the family's span, which
-    # must contain every member.
-    "product walk starts from a span missing its last column": (
-        span_without_last_column,
+    # The product walk starts from the lift of the family's reduced span,
+    # which must contain every reduced component.
+    "product walk starts from a reduced span missing its first column": (
+        reduced_span_without_first_column,
         {"norm_chain"},
     ),
+    # Members 1 (a walk of the dense T on the reduced span) and 3 (q from
+    # the reduced bases' Gram) both read the reduced components; a fault
+    # there must not move them together.
+    "every reduced component one column short": (reduced_components_one_short, {"norm_chain"}),
     # The lemma's left side walks the domain through T, the operator's
     # read-only matrix; its right side through T - P_M, formed afresh.
     "lemma left side: walk of T one step ahead": (
@@ -221,6 +236,14 @@ def test_fault_fails_exactly_its_checks(monkeypatch, fault):
     plant, expected = FAULTS[fault]
     plant(monkeypatch)
     assert failed_checks() == expected
+
+
+@pytest.mark.parametrize("method", ["simultaneous", "cyclic"])
+def test_short_reduced_components_fail_the_chain_on_base_space_runs(monkeypatch, method):
+    # The base-space trace rates read the reduced components too, but on
+    # this family only the chain shows the fault.
+    reduced_components_one_short(monkeypatch)
+    assert failed_checks(method) == {"norm_chain"}
 
 
 @pytest.mark.parametrize("method", ["simultaneous", "cyclic"])
