@@ -13,8 +13,9 @@ common intersection.  Three routes are provided:
 * ``gram_block``      - eigenvalue of the block Gram matrix of reduced
                         bases; closest to the defining supremum and the
                         designated reference route.
-* ``norm_inversion``  - inverted from the operator norm of the averaged
-                        projector minus the intersection projector.
+* ``norm_inversion``  - inverted from ||T - P_M||, T the averaged
+                        projector: an eigenvalue of the Gram of the
+                        members' bases, not of the reduced ones.
 * ``principal_angle`` - two-subspace route via the cross-Gram of reduced
                         bases.
 
@@ -29,8 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateError, InputError
-from .numlin import spectral_norm, symmetric_norm
+from .numlin import spectral_norm
 from .subspaces import Family, Subspace
 
 __all__ = [
@@ -129,7 +132,10 @@ def friedrichs_from_norm(subspaces) -> FriedrichsResult:
 
         || (1/r) sum_i P_i  -  P_M ||  =  (r-1)/r * cos(M_1,...,M_r) + 1/r,
 
-    solved for the cosine.  Raises DegenerateError on a degenerate family
+    solved for the cosine.  With A = [Q_1 ... Q_r] / sqrt(r), T = A A^T is
+    positive semidefinite with eigenvalue 1 exactly on M, so the left side
+    is T's (dim M + 1)-th largest eigenvalue, from the smaller of A^T A and
+    A A^T.  Raises DegenerateError on a degenerate family
     (:attr:`Family.degenerate`, every M_i equal to M), because the left side
     is then 0 and the inversion formula does not apply (it would report a
     spurious negative value).
@@ -141,5 +147,7 @@ def friedrichs_from_norm(subspaces) -> FriedrichsResult:
             "every subspace equals the intersection; the norm identity "
             "does not determine a Friedrichs number here"
         )
-    nu = symmetric_norm(fam.averaged_projector - fam.intersection.projector())
+    A = np.hstack([S.basis for S in fam]) / np.sqrt(r)
+    gram = A.T @ A if A.shape[0] >= A.shape[1] else A @ A.T
+    nu = float(np.linalg.eigvalsh(gram)[-1 - fam.intersection.dim])
     return _clamped((r * nu - 1.0) / (r - 1.0))

@@ -9,15 +9,15 @@ Both satisfy T P_M = P_M T = P_M, which yields the algebraic identity
 T^k - P_M = (T - P_M)^k.  Error-operator norms walk T - P_M (forming T^k
 and subtracting would cancel), while :func:`verify_error_identity` forms
 both sides independently.  Each walk starts from the n x m basis Q of the
-operator's domain, outside which every error operator E vanishes.
+operator's domain, outside which every error operator E vanishes.  T and
+P_M act through bases (:meth:`IterOperator.step`), never as n x n matrices.
 
 Each function of the step count k takes either one exponent, returning a
 float, or a 1-d integer array of them, returning an array of its shape.
-Every walk to k is an :func:`orbit`, its k-th item the k-th iterate
-(:func:`power_orbit` is the orbit of X -> A X), and :func:`sweep` reads
-walks at the wanted k.  The rate ||T - P_M|| is found once per operator,
-by :attr:`IterOperator.rate` alone; the trace bounds, :func:`cyclic_bound`
-and :func:`optimal_bound_simultaneous` raise it to the k.
+Every walk to k is an :func:`orbit`, its k-th item the k-th iterate, and
+:func:`sweep` reads walks at the wanted k.  The rate ||T - P_M|| is found
+once per operator, by :attr:`IterOperator.rate` alone; the trace bounds,
+:func:`cyclic_bound` and :func:`optimal_bound_simultaneous` raise it to the k.
 
 The optimal starting-point-independent rate of the simultaneous method is
 
@@ -65,9 +65,9 @@ KIND_CYCLIC = "cyclic"
 class IterOperator:
     """The iteration operator of one kind on a family, a read-only view of it.
 
-    ``matrix`` is T, ``limit_projector`` is P_M and ``rate`` is ||T - P_M||,
-    the one place a base-space trace's rate is found; each is formed from
-    the family on first use and kept, the matrices read-only.
+    :meth:`step` applies T through the members' bases; ``rate`` is
+    ||T - P_M||, the one place a base-space trace's rate is found, formed
+    from the family on first use and kept.
     """
 
     family: Family
@@ -78,25 +78,21 @@ class IterOperator:
             raise InputError(f"unknown operator kind {self.kind!r}")
         # Absorption, T P_M = P_M T = P_M, follows from M lying in every M_i,
         # which forming the reduced components tests once per family
-        # (Subspace.contains), so no operator re-decides it from its matrices.
+        # (Subspace.contains), so no operator re-decides it.
         self.family.reduced
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """(1/r) (P_1 + ... + P_r) or P_r ... P_1 (index 1 applied first)."""
-        if self.kind == KIND_SIMULTANEOUS:
-            return self.family.averaged_projector
-        T = self.family.members[0].projector()
-        for S in self.family.members[1:]:
-            T = S.projector() @ T
-        T.setflags(write=False)
-        return T
+    def step(self, X: np.ndarray) -> np.ndarray:
+        """T X for an n x s block X, through the members' bases Q_i:
+        X <- Q_i (Q_i^T X) for i = 1..r, or (1/r) sum_i Q_i (Q_i^T X),
+        taken as (1/r) A (A^T X) with A = [Q_1 ... Q_r]."""
+        for Q in self._factors:
+            X = Q @ (Q.T @ X)
+        return X / len(self.family) if self.kind == KIND_SIMULTANEOUS else X
 
     @cached_property
-    def limit_projector(self) -> np.ndarray:
-        P = self.family.intersection.projector()
-        P.setflags(write=False)
-        return P
+    def _factors(self) -> list[np.ndarray]:
+        bases = [S.basis for S in self.family]
+        return [np.hstack(bases)] if self.kind == KIND_SIMULTANEOUS else bases
 
     @property
     def domain(self) -> np.ndarray:
@@ -165,13 +161,13 @@ def cyclic_operator(subspaces) -> IterOperator:
 def iterate(T: IterOperator, starts, k_max: int) -> list[IterationTrace]:
     """Run k_max steps of the method from each of ``starts``, one trace each.
 
-    The starts walk as the columns of one block X, a step being one product
-    T X (never a matrix power), so each trace equals its start walked alone,
-    to rounding.  The attached bounds are ``T.rate``^k * ||x0|| (q^k ||x0||
+    The starts walk as the columns of one block X, a step being one T.step
+    (never a matrix power), so each trace equals its start walked alone, to
+    rounding.  The attached bounds are ``T.rate``^k * ||x0|| (q^k ||x0||
     for the simultaneous kind), valid as T^k - P_M = (T - P_M)^k.
     """
     X = start_block(starts, T.family.ambient_dim)
-    return block_traces(X, T.limit_projector @ X, lambda Y: T.matrix @ Y, T.rate ** np.arange(k_max + 1))
+    return block_traces(X, T.family.intersection.project(X), T.step, T.rate ** np.arange(k_max + 1))
 
 
 def start_block(starts, n: int) -> np.ndarray:
@@ -203,11 +199,6 @@ def error_profile(X: np.ndarray, target: np.ndarray, step, k_max: int) -> np.nda
         raise InputError("k_max must be nonnegative")
     errors = sweep(range(k_max + 1), lambda Y: np.linalg.norm(Y - target, axis=0), orbit(step, X))
     return np.array(list(errors.values()))
-
-
-def power_orbit(A: np.ndarray, X: np.ndarray):
-    """X, A X, A^2 X, ...: the orbit of X -> A X, one product per step."""
-    return orbit(lambda Z: A @ Z, X)
 
 
 def exponents(k, least: int = 1) -> np.ndarray:
@@ -248,6 +239,12 @@ def _block_norm(Z: np.ndarray) -> float:
     return spectral_norm(Z) if Z.shape[1] else 0.0
 
 
+def _error_step(T: IterOperator):
+    """X -> (T - P_M) X, through the bases of the members and of M."""
+    M = T.family.intersection.basis
+    return lambda X: T.step(X) - M @ (M.T @ X)
+
+
 def error_operator_norm(T: IterOperator, k):
     """|| T^k - P_M ||, computed as the norm of (T - P_M)^k Q.
 
@@ -256,7 +253,7 @@ def error_operator_norm(T: IterOperator, k):
     relative accuracy even when T^k is near P_M; k = 0 is excluded by contract.
     """
     ks = exponents(k)
-    walk = power_orbit(T.matrix - T.limit_projector, T.domain)
+    walk = orbit(_error_step(T), T.domain)
     return _per_k(ks, sweep(ks, _block_norm, walk).get)
 
 
@@ -299,7 +296,7 @@ def verify_error_identity(T: IterOperator, k):
     for absorption, not a tautology; on M, :meth:`Subspace.contains` decides it.
     """
     ks = exponents(k)
-    Q, P = T.domain, T.limit_projector
-    PQ, walks = P @ Q, (power_orbit(T.matrix, Q), power_orbit(T.matrix - P, Q))
+    Q = T.domain
+    PQ, walks = T.family.intersection.project(Q), (orbit(T.step, Q), orbit(_error_step(T), Q))
     residuals = sweep(ks, lambda TkQ, EkQ: _block_norm((TkQ - PQ) - EkQ), *walks)
     return _per_k(ks, residuals.get)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .angles import friedrichs_gram, optimal_rate
 from .errors import DegenerateError, InputError
-from .methods import IterationTrace, block_traces, exponents, orbit, power_orbit, start_block, sweep
+from .methods import IterationTrace, block_traces, exponents, orbit, simultaneous_operator, start_block, sweep
 from .numlin import as_points, spectral_norm, symmetric_norm
 from .subspaces import Family, Subspace
 
@@ -130,7 +130,8 @@ def chain_residual_profile(subspaces, k_values) -> np.ndarray:
     and ||(P_D P_C P_D)^k - P_CD||; the second and fifth are the k = 1
     values of the first's and sixth's walks to the k.
     Members 1 and 2 walk S = :attr:`Family.reduced_span`, a basis of the
-    sum of the M_i' = M_i intersect M-perp, through T: T^k - P_M is
+    sum of the M_i' = M_i intersect M-perp, through T applied by the
+    members' bases (:meth:`methods.IterOperator.step`): T^k - P_M is
     symmetric and vanishes on M and (M_1 + ... + M_r)-perp, so (up to
     :attr:`Family.defects`) its norm is that of S^T (T^k S - P_M S).
     Members 5 and 6 walk B = Q_D S = lift(S)/sqrt(r), the lift of that sum,
@@ -153,7 +154,7 @@ def chain_residual_profile(subspaces, k_values) -> np.ndarray:
             "are identically zero and the chain holds trivially"
         )
     S = fam.reduced_span
-    P_M_S, walk = fam.intersection.project(S), power_orbit(fam.averaged_projector, S)
+    P_M_S, walk = fam.intersection.project(S), orbit(simultaneous_operator(fam).step, S)
     base = sweep(walked, lambda TkS: symmetric_norm(S.T @ (TkS - P_M_S)), walk)
     q = optimal_rate(friedrichs_gram(fam), len(fam))
     model = model or build_product(fam)
@@ -186,9 +187,9 @@ def pierra_lift_residual(subspaces, starts, k_values) -> float:
     fam = model.family
     if not (X := start_block(starts, fam.ambient_dim)).shape[1]:
         raise InputError("pierra_lift_residual needs at least one start")
-    T, lifted = fam.averaged_projector, lift_diag(model, X)
+    lifted = lift_diag(model, X)
     anchor = model.limit(lifted) - lift_diag(model, fam.intersection.project(X))
-    walks = orbit(model.step, lifted), orbit(lambda Z: T @ Z, X)
+    walks = orbit(model.step, lifted), orbit(simultaneous_operator(fam).step, X)
     drift = sweep(ks, lambda Y, Z: np.linalg.norm(Y - lift_diag(model, Z), axis=0), *walks)
     return float(np.max(np.max(list(drift.values()), axis=0) + np.linalg.norm(anchor, axis=0)))
 

@@ -159,8 +159,8 @@ class Family:
     """A nonempty family M_1, ..., M_r of subspaces of one R^n, validated once.
 
     The intersection, the reduced components and what is read from them
-    (their span too) and the averaged projector are computed on first use
-    and kept.  Iterating a family yields its members.
+    (their span too) are computed on first use and kept.  Iterating a
+    family yields its members.
     """
 
     members: tuple[Subspace, ...]
@@ -234,10 +234,3 @@ class Family:
         Q = np.linalg.qr(np.hstack([R.basis for R in self.reduced]))[0]
         Q.setflags(write=False)
         return Q
-
-    @cached_property
-    def averaged_projector(self) -> np.ndarray:
-        """(1/r) (P_1 + ... + P_r), read-only."""
-        T = sum(S.projector() for S in self) / len(self)
-        T.setflags(write=False)
-        return T

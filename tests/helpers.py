@@ -22,7 +22,7 @@ from projbounds import (
     verify_error_identity,
 )
 from projbounds.angles import optimal_rate
-from projbounds.methods import exponents
+from projbounds.methods import KIND_SIMULTANEOUS, exponents
 from projbounds.subspaces import PROJECTOR_EQ_TOL
 
 SQRT2 = np.sqrt(2.0)
@@ -127,6 +127,26 @@ def distance_to(V, x) -> float:
     return float(np.linalg.norm(x - V.project(x)))
 
 
+def dense_projector(S: Subspace) -> np.ndarray:
+    """Test-only: the n x n projector Q Q^T onto S, from its basis Q."""
+    return S.basis @ S.basis.T
+
+
+def dense_operator(T) -> tuple[np.ndarray, np.ndarray]:
+    """Test-only oracle: the n x n matrices of the iteration operator ``T``,
+    (1/r) sum_i P_i or P_r ... P_1, and of its limit P_M, each P from
+    :func:`dense_projector`."""
+    P = [dense_projector(S) for S in T.family]
+    A = sum(P) / len(P) if T.kind == KIND_SIMULTANEOUS else reduce(lambda A, B: B @ A, P)
+    return A, dense_projector(T.family.intersection)
+
+
+def dense_error_operator(T) -> np.ndarray:
+    """Test-only oracle: T - P_M as one n x n matrix (:func:`dense_operator`)."""
+    A, P_M = dense_operator(T)
+    return A - P_M
+
+
 def stacked_intersection(subspaces) -> Subspace:
     """Test-only oracle: the intersection as the null space of the stacked
     n-column matrix [(I - P_1); ...; (I - P_r)]."""
@@ -146,8 +166,7 @@ def dense_chain_residual_profile(subspaces, k_values) -> np.ndarray:
     model = build_product(subspaces)
     fam = model.family
     fr = friedrichs_gram(fam)
-    T = fam.averaged_projector
-    P_M = fam.intersection.projector()
+    T, P_M = dense_operator(simultaneous_operator(fam))
     one_step = symmetric_norm(T - P_M)
     q = optimal_rate(fr, len(fam))
     c_prod = cos_CD(model)
@@ -232,6 +251,6 @@ def dense_trace_errors(method, family, x, k_max) -> np.ndarray:
         model = build_product(family)
         A, y = model.D.projector() @ model.C.projector(), np.tile(x, len(family))
         return dense_walk_errors(lambda z: A @ z, model.CD.projector() @ y, y, k_max)
-    P = [S.projector() for S in family]
-    T = sum(P) / len(P) if method == "simultaneous" else reduce(lambda A, B: B @ A, P)
-    return dense_walk_errors(lambda z: T @ z, family.intersection.projector() @ x, x, k_max)
+    build = simultaneous_operator if method == "simultaneous" else cyclic_operator
+    T, P_M = dense_operator(build(family))
+    return dense_walk_errors(lambda z: T @ z, P_M @ x, x, k_max)

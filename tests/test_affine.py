@@ -14,7 +14,7 @@ from projbounds import (
     simultaneous_affine,
     simultaneous_operator,
 )
-from helpers import distance_to, lines_exact_60, random_family, same_subspace
+from helpers import dense_error_operator, distance_to, lines_exact_60, random_family, same_subspace
 
 E1 = np.array([[1.0], [0.0]])
 E2 = np.array([[0.0], [1.0]])
@@ -176,7 +176,7 @@ class TestSimultaneousAffine:
         # adversarial start: least-norm point plus top singular vector of
         # the linear error operator
         linear_T = simultaneous_operator([V.direction for V in fam])
-        _, _, Vt = np.linalg.svd(linear_T.matrix - linear_T.limit_projector)
+        _, _, Vt = np.linalg.svd(dense_error_operator(linear_T))
         v = intersection_affine(fam).anchor
         [star] = simultaneous_affine(fam, [v + Vt[0]], 8)
         assert (star.errors >= star.bounds - 1e-8).all()

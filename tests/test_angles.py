@@ -9,15 +9,19 @@ from projbounds import (
     cos_two,
     friedrichs_from_norm,
     friedrichs_gram,
+    simultaneous_operator,
+    symmetric_norm,
 )
 from projbounds.runner import run_scenario
 from projbounds.scenario import Scenario
 from helpers import (
+    dense_error_operator,
     lines_at,
     lines_exact_60,
     orthogonal_axes,
     random_family,
     rotation,
+    shared_and_near_spans,
     triple_at_120,
 )
 
@@ -122,6 +126,47 @@ class TestFriedrichsFromNorm:
             return
         b = friedrichs_from_norm(subs)
         assert abs(a.value - b.value) <= 1e-9
+
+
+def dense_norm_route(fam: Family) -> float:
+    """The norm route's raw value from the dense n x n matrix T - P_M."""
+    r = len(fam)
+    return (r * symmetric_norm(dense_error_operator(simultaneous_operator(fam))) - 1.0) / (r - 1.0)
+
+
+def planted_members(seed: int, n: int, shared: int, own: int, r: int):
+    """r members of R^n, each a planted common part of dimension ``shared``
+    plus ``own`` random directions."""
+    rng = np.random.default_rng([seed, n, shared])
+    common = rng.standard_normal((n, shared))
+    return [Subspace.from_spanning(np.hstack([common, rng.standard_normal((n, own))])) for _ in range(r)]
+
+
+class TestNormRouteAgainstDenseOracle:
+    # The route reads T's (dim M + 1)-th eigenvalue from the smaller Gram of
+    # the members' bases; the oracle forms T - P_M in R^n.
+
+    @pytest.mark.parametrize("shared", [0, 1, 3])
+    @pytest.mark.parametrize("n, own", [(30, 3), (12, 6)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_planted_families(self, seed, n, own, shared):
+        # (30, 3): sum of dims below n, A^T A is the smaller Gram; (12, 6)
+        # with r >= 3: above n, A A^T is.
+        fam = Family.of(planted_members(seed, n, shared, own, 3 + seed % 2))
+        assert fam.intersection.dim == shared
+        assert (sum(S.dim for S in fam) < n) == (n == 30)
+        assert abs(friedrichs_from_norm(fam).raw - dense_norm_route(fam)) <= 1e-13
+
+    @pytest.mark.parametrize("theta", [1e-12, 1e-11, 3e-11])
+    def test_near_shared_directions_judged_shared(self, theta):
+        # An exact plane plus three directions at sines theta, below the
+        # shared-part cutoff: M has dimension 5, and T's eigenvalues on the
+        # near-shared directions are 1 to within theta^2.
+        rng = np.random.default_rng(5)
+        spans = shared_and_near_spans(rng, theta, 20, 2, 3)
+        fam = Family.of([Subspace.from_spanning(np.hstack([A, rng.standard_normal((20, 2))])) for A in spans])
+        assert fam.intersection.dim == 5 and not fam.degenerate
+        assert abs(friedrichs_from_norm(fam).raw - dense_norm_route(fam)) <= 1e-13
 
 
 class TestDefiningQuotient:

@@ -30,7 +30,7 @@ from projbounds import (
 )
 from projbounds.runner import run_scenario
 from projbounds.scenario import Scenario
-from helpers import dense_chain_residual_profile, rotation
+from helpers import dense_chain_residual_profile, dense_error_operator, rotation
 
 KS = np.arange(1, 9)
 
@@ -50,7 +50,7 @@ def small_span_family(seed: int, shared_dim: int):
 
 def full_space_norms(T, ks):
     """||(T - P_M)^k|| with the difference formed and powered on R^n."""
-    E = T.matrix - T.limit_projector
+    E = dense_error_operator(T)
     return np.array([spectral_norm(np.linalg.matrix_power(E, int(k))) for k in ks])
 
 
@@ -108,10 +108,8 @@ def test_domains_of_the_affine_pair_shape_are_as_narrow_as_their_reduced_parts(m
     assert [S.dim for S in fam] == [31, 31] and fam.intersection.dim == 30
     assert simultaneous_operator(fam).domain.shape == (150, 2)
     assert cyclic_operator(fam).domain.shape == (150, 1)
-    starts = []
-    for name in ("orbit", "power_orbit"):
-        real = getattr(productspace, name)
-        monkeypatch.setattr(productspace, name, lambda A, X, real=real: starts.append(X.shape) or real(A, X))
+    starts, real = [], productspace.orbit
+    monkeypatch.setattr(productspace, "orbit", lambda step, X: starts.append(X.shape) or real(step, X))
     chain_residual_profile(build_product(fam), KS)
     assert starts == [(150, 2), (300, 2)]
 

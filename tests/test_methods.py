@@ -19,8 +19,10 @@ from projbounds import (
     spectral_norm,
     verify_error_identity,
 )
-from projbounds.methods import KIND_CYCLIC, KIND_SIMULTANEOUS, orbit, power_orbit, sweep
+from projbounds.methods import KIND_CYCLIC, KIND_SIMULTANEOUS, orbit, sweep
 from helpers import (
+    dense_error_operator,
+    dense_operator,
     k_indexed_calls,
     lines_exact_60,
     near_pair,
@@ -32,41 +34,60 @@ from helpers import (
 SQRT2 = np.sqrt(2.0)
 
 
+def matrix_of(T) -> np.ndarray:
+    """The n x n matrix of T, read as T.step applied to the identity."""
+    return T.step(np.eye(T.family.ambient_dim))
+
+
 class TestOperators:
     def test_simultaneous_orthogonal_axes(self):
         T = simultaneous_operator(orthogonal_axes())
-        assert np.allclose(T.matrix, np.diag([0.5, 0.5]), atol=1e-14)
-        assert np.allclose(T.limit_projector, np.zeros((2, 2)), atol=1e-14)
+        assert np.allclose(matrix_of(T), np.diag([0.5, 0.5]), atol=1e-14)
+        assert T.family.intersection.dim == 0
 
     def test_simultaneous_full_spaces(self):
         T = simultaneous_operator([Subspace.full(2), Subspace.full(2)])
-        assert np.allclose(T.matrix, np.eye(2), atol=1e-14)
-        assert np.allclose(T.limit_projector, np.eye(2), atol=1e-14)
+        assert np.allclose(matrix_of(T), np.eye(2), atol=1e-14)
+        assert np.allclose(T.family.intersection.project(np.eye(2)), np.eye(2), atol=1e-14)
 
     def test_simultaneous_triple_is_half_identity(self):
         T = simultaneous_operator(triple_at_120())
-        assert np.allclose(T.matrix, 0.5 * np.eye(2), atol=1e-12)
-        assert np.allclose(T.limit_projector, np.zeros((2, 2)), atol=1e-12)
+        assert np.allclose(matrix_of(T), 0.5 * np.eye(2), atol=1e-12)
+        assert T.family.intersection.dim == 0
 
     def test_cyclic_orthogonal_axes_is_zero(self):
         T = cyclic_operator(orthogonal_axes())
-        assert np.allclose(T.matrix, np.zeros((2, 2)), atol=1e-14)
+        assert np.allclose(matrix_of(T), np.zeros((2, 2)), atol=1e-14)
 
     def test_cyclic_single_subspace_is_projector(self):
         S = Subspace.from_spanning(np.array([[1.0], [1.0]]))
         T = cyclic_operator([S])
-        assert np.allclose(T.matrix, S.projector(), atol=1e-14)
+        assert np.allclose(matrix_of(T), [[0.5, 0.5], [0.5, 0.5]], atol=1e-14)
 
     def test_cyclic_lines_at_60_norm(self):
         T = cyclic_operator(lines_exact_60())
-        assert spectral_norm(T.matrix) == pytest.approx(0.5, abs=1e-12)
+        assert spectral_norm(matrix_of(T)) == pytest.approx(0.5, abs=1e-12)
 
     def test_cyclic_application_order(self):
         # index 1 applied first: P2 P1 e2 = 0 but P1 P2 e2 != 0 here
         M1, M2 = lines_exact_60()
         T = cyclic_operator([M1, M2])
-        manual = M2.projector() @ M1.projector()
-        assert np.allclose(T.matrix, manual, atol=1e-14)
+        manual = M2.project(M1.project(np.eye(2)))
+        assert np.allclose(matrix_of(T), manual, atol=1e-14)
+        assert np.allclose(T.step(np.array([0.0, 1.0])), 0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("build", [simultaneous_operator, cyclic_operator])
+    def test_step_matches_dense_oracle_and_keeps_its_input(self, seed, build):
+        rng = np.random.default_rng(30 + seed)
+        n = int(rng.integers(3, 20))
+        T = build(random_family(rng, int(rng.integers(2, 5)), n))
+        X = rng.standard_normal((n, 3))
+        X.setflags(write=False)
+        before = X.copy()
+        assert np.allclose(T.step(X), dense_operator(T)[0] @ X, atol=1e-13)
+        assert np.allclose(T.step(X[:, 0]), T.step(X)[:, 0], atol=1e-15)
+        assert np.array_equal(X, before)
 
     def test_empty_list_rejected(self):
         with pytest.raises(InputError):
@@ -94,14 +115,12 @@ class TestOperators:
         rng = np.random.default_rng(seed)
         fam = Family(random_family(rng, int(rng.integers(2, 5)), int(rng.integers(3, 20))))
         S = simultaneous_operator(fam)
-        assert S.matrix is fam.averaged_projector
-        assert np.array_equal(S.matrix, S.matrix.T)
+        assert np.allclose(matrix_of(S), matrix_of(S).T, atol=1e-15)
         for T in (S, cyclic_operator(fam)):
-            P = T.limit_projector
-            assert spectral_norm(T.matrix @ P - P) <= 1e-10
-            assert spectral_norm(P @ T.matrix - P) <= 1e-10
-            assert spectral_norm(T.matrix) <= 1.0 + 1e-12
-            assert not T.matrix.flags.writeable and not P.flags.writeable
+            A, P = matrix_of(T), dense_operator(T)[1]
+            assert spectral_norm(A @ P - P) <= 1e-10
+            assert spectral_norm(P @ A - P) <= 1e-10
+            assert spectral_norm(A) <= 1.0 + 1e-12
 
 
 class TestIterate:
@@ -164,7 +183,7 @@ class TestIterate:
             return wrapped
 
         def forbidden(*args):
-            raise AssertionError("the rate formed an n x n matrix")
+            raise AssertionError("the rate applied T or formed a projector")
 
         # The simultaneous rate reads the gram route, the cyclic one a
         # block norm; neither reads T or any projector.
@@ -176,7 +195,7 @@ class TestIterate:
             calls.clear()
             with monkeypatch.context() as m:
                 m.setattr(Subspace, "projector", forbidden)
-                m.setattr(IterOperator, "matrix", property(forbidden))
+                m.setattr(IterOperator, "step", forbidden)
                 rate = T.rate
             for _ in range(3):
                 x = rng.standard_normal(8)
@@ -194,7 +213,7 @@ class TestIterate:
             common = rng.standard_normal((n, int(rng.integers(1, 3))))
             subs = [Subspace.from_spanning(np.hstack([common, S.basis])) for S in subs]
         for T in (simultaneous_operator(subs), cyclic_operator(subs)):
-            oracle = spectral_norm(T.matrix - T.limit_projector)
+            oracle = spectral_norm(dense_error_operator(T))
             assert abs(T.rate - oracle) <= 1e-13, T.kind
 
     def test_rate_is_rounding_on_degenerate_families(self):
@@ -215,7 +234,7 @@ class TestIterate:
         # of the angles; the members' defects bound it.
         T = build(near_pair(np.random.default_rng(49), 1e-11, 30, 10))
         assert T.family.degenerate
-        oracle = spectral_norm(T.matrix - T.limit_projector)
+        oracle = spectral_norm(dense_error_operator(T))
         assert oracle > 1e-12 and T.rate >= oracle - 1e-15
 
 
@@ -331,7 +350,7 @@ class TestBounds:
         rng = np.random.default_rng(120 + seed)
         subs = random_family(rng, int(rng.integers(2, 6)), int(rng.integers(3, 25)))
         T = simultaneous_operator(subs)
-        _, _, Vt = np.linalg.svd(T.matrix - T.limit_projector)
+        _, _, Vt = np.linalg.svd(dense_error_operator(T))
         star = Vt[0]
         [trace] = iterate(T, [star], 10)
         for k in range(1, 11):
@@ -444,12 +463,11 @@ class TestSweep:
         out = sweep(np.array(0), lambda x: x, counted_orbit(start, steps))
         assert out[0] is start and steps == []
 
-    def test_power_orbit_applies_A_from_the_left(self):
+    def test_orbit_of_T_step_walks_its_powers(self):
         rng = np.random.default_rng(3)
-        A, X = rng.standard_normal((7, 7)) / 3, rng.standard_normal((7, 4))
-        expected = {0: X, 1: A @ X, 2: A @ (A @ X), 3: A @ (A @ (A @ X))}
-        expected[5] = A @ (A @ expected[3])
-        out = sweep(np.array([5, 1, 3, 0, 2]), np.copy, power_orbit(A, X))
+        T = simultaneous_operator(random_family(rng, 3, 7))
+        A, X = dense_operator(T)[0], rng.standard_normal((7, 4))
+        out = sweep(np.array([5, 1, 3, 0, 2]), np.copy, orbit(T.step, X))
         assert list(out) == [0, 1, 2, 3, 5]
-        for k, AkX in expected.items():
-            assert np.array_equal(out[k], AkX)
+        for k, TkX in out.items():
+            assert np.allclose(TkX, np.linalg.matrix_power(A, k) @ X, atol=1e-13)

@@ -90,32 +90,23 @@ def anchor_from_base(monkeypatch):
     monkeypatch.setattr(ProductSpaceModel, "limit", limit)
 
 
-def walk_one_step_ahead(monkeypatch, ahead):
-    """Every walk of ``productspace.orbit`` whose start x has ``ahead(x)``
-    skips its first iterate."""
-    real = productspace.orbit
+def walk_one_step_ahead(monkeypatch, ahead, module=productspace):
+    """Every walk of ``<module>.orbit`` whose step and start x have
+    ``ahead(step, x)`` skips its first iterate."""
+    real = module.orbit
 
     def orbit(step, x):
         walk = real(step, x)
-        if ahead(x):
+        if ahead(step, x):
             next(walk)
         return walk
 
-    monkeypatch.setattr(productspace, "orbit", orbit)
+    monkeypatch.setattr(module, "orbit", orbit)
 
 
-def power_walk_one_step_ahead(monkeypatch, ahead, module=methods):
-    """Every walk of ``<module>.power_orbit`` whose matrix A has ``ahead(A)``
-    skips its first iterate."""
-    real = module.power_orbit
-
-    def power_orbit(A, X):
-        walk = real(A, X)
-        if ahead(A):
-            next(walk)
-        return walk
-
-    monkeypatch.setattr(module, "power_orbit", power_orbit)
+def steps_T(step):
+    """Whether ``step`` is an operator's T, not the lifted step or T - P_M."""
+    return isinstance(getattr(step, "__self__", None), methods.IterOperator)
 
 
 def reduced_span_without_first_column(monkeypatch):
@@ -174,9 +165,12 @@ FAULTS = {
     "C intersect D taken as {0}": (trivial_CD, {"norm_chain", "pierra_lift"}),
     "C intersect D sized dim M - 1": (CD_one_short, {"norm_chain", "pierra_lift"}),
     "anchor reads lift(P_M x) for P_CD lift(x)": (anchor_from_base, {"norm_chain"}),
-    # Pierra's base side lives in R^N; its lifted side, in R^(N*r).
+    # Pierra's base side walks the starts in R^N through T; chain member 1
+    # walks the orthonormal reduced span through T too.
     "base side of Pierra one exponent ahead": (
-        lambda mp: walk_one_step_ahead(mp, lambda x: x.shape[0] == N),
+        lambda mp: walk_one_step_ahead(
+            mp, lambda step, x: steps_T(step) and not has_orthonormal_columns(x)
+        ),
         {"pierra_lift"},
     ),
     "chain members 1 and 2: symmetric norm scaled": (
@@ -185,16 +179,17 @@ FAULTS = {
     ),
     "chain member 3: optimal rate scaled": (lambda mp: scaled(mp, "optimal_rate"), {"norm_chain"}),
     "chain member 4: cos(C, D) scaled": (lambda mp: scaled(mp, "cos_CD"), {"norm_chain"}),
-    # The chain walks Q_D times the reduced span, whose columns are orthonormal;
-    # Pierra's walks are of the starts.
+    # The chain walks Q_D times the reduced span, whose columns are orthonormal,
+    # through the lifted step; Pierra's walks are of the starts.
     "chain members 5 and 6: walk of D's basis one step ahead": (
-        lambda mp: walk_one_step_ahead(mp, has_orthonormal_columns),
+        lambda mp: walk_one_step_ahead(
+            mp, lambda step, x: not steps_T(step) and has_orthonormal_columns(x)
+        ),
         {"norm_chain"},
     ),
-    # Members 1 and 2 walk the reduced span through T, the chain's only
-    # power walk.
+    # Members 1 and 2 walk the reduced span through T.
     "chain member 1: walk of T on the span one step ahead": (
-        lambda mp: power_walk_one_step_ahead(mp, lambda A: True, productspace),
+        lambda mp: walk_one_step_ahead(mp, lambda step, x: steps_T(step) and has_orthonormal_columns(x)),
         {"norm_chain"},
     ),
     # The product walk starts from the lift of the family's reduced span,
@@ -203,18 +198,19 @@ FAULTS = {
         reduced_span_without_first_column,
         {"norm_chain"},
     ),
-    # Members 1 (a walk of the dense T on the reduced span) and 3 (q from
+    # Members 1 (a walk of T on the reduced span) and 3 (q from
     # the reduced bases' Gram) both read the reduced components; a fault
     # there must not move them together.
     "every reduced component one column short": (reduced_components_one_short, {"norm_chain"}),
-    # The lemma's left side walks the domain through T, the operator's
-    # read-only matrix; its right side through T - P_M, formed afresh.
+    # The lemma's left side walks the domain through T.step; its right side
+    # through T - P_M, a plain function.  The lifted traces walk the
+    # product model's step.
     "lemma left side: walk of T one step ahead": (
-        lambda mp: power_walk_one_step_ahead(mp, lambda A: not A.flags.writeable),
+        lambda mp: walk_one_step_ahead(mp, lambda step, x: steps_T(step), methods),
         {"lemma_identity"},
     ),
     "lemma right side: walk of T - P_M one step ahead": (
-        lambda mp: power_walk_one_step_ahead(mp, lambda A: A.flags.writeable),
+        lambda mp: walk_one_step_ahead(mp, lambda step, x: not hasattr(step, "__self__"), methods),
         {"lemma_identity"},
     ),
     # The starts walk as one block; each trace must read its own column.

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from projbounds import cli, generate_random, generate_two_subspace, parse_scenario
+from projbounds import Subspace, cli, generate_random, generate_two_subspace, parse_scenario
+from projbounds.checks import applicable_checks
 from projbounds.runner import (
     render_report,
     report_to_dict,
@@ -247,3 +248,22 @@ class TestVerifyBattery:
         s = generate_two_subspace(45.0, 5, 1, seed=9)
         rep = run_scenario(s)
         assert rep.all_passed()
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("method", ["simultaneous", "cyclic", "product_alternating"])
+def test_linear_runs_form_no_projector(monkeypatch, method, r):
+    # T and P_M act through the bases of the members and of M, and P_C, P_D
+    # and P_CD through those of the product model: a linear run with every
+    # applicable check forms no projector matrix, in R^n or in R^(nr).
+    def projector(self):
+        raise AssertionError(f"formed a projector in R^{self.ambient_dim}")
+
+    monkeypatch.setattr(Subspace, "projector", projector)
+    rng = np.random.default_rng(r)
+    common = rng.standard_normal((12, 2))
+    spans = [np.hstack([common, rng.standard_normal((12, 3))]) for _ in range(r)]
+    report = run_scenario(Scenario.generated("no-projector", 12, spans, 0, k_max=6, method=method))
+    assert report.error is None
+    assert [c.name for c in report.check_outcomes] == list(applicable_checks(r))
+    assert all(c.passed for c in report.check_outcomes)

@@ -370,9 +370,6 @@ class TestFamily:
         assert same_subspace(fam.intersection, intersection(subs))
         for R, S in zip(fam.reduced, subs):
             assert same_subspace(R, reduced_component(S, intersection(subs)))
-        averaged = sum(S.projector() for S in subs) / len(subs)
-        assert np.array_equal(fam.averaged_projector, averaged)
-        assert not fam.averaged_projector.flags.writeable
 
     def test_intersection_computed_once(self, monkeypatch):
         from projbounds import subspaces
