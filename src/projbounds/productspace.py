@@ -14,9 +14,13 @@ central identity checked here is the five-link chain
                      =  || (P_D P_C P_D)^k - P_CD ||,
 
 with T the averaged projector and P_CD the projector onto C intersect D.
-P_C, P_D and P_CD act through the bases of C, D and C intersect D, never
-as n*r x n*r matrices; the two product-operator members are norms of
-n*r x m blocks, m <= sum (dim M_i - dim M) (see :func:`chain_residual_profile`).
+No n*r x n*r matrix is formed.  The lifted step applies P_C block by
+block, y_i <- C_i (C_i^T y_i) with C_i the i-th diagonal block of C's
+basis, and P_D as the mean of the r blocks copied back into every block;
+P_CD acts through the basis of C intersect D, and cos(C, D) reads the
+bases of C, D and C intersect D.  The two product-operator members are
+norms of n*r x m blocks, m <= sum (dim M_i - dim M) (see
+:func:`chain_residual_profile`).
 
 On the inner product: the product space is often equipped with the
 averaged form <x, y> = (1/r) sum_i <x_i, y_i>.  That is a uniform positive
@@ -35,6 +39,7 @@ enters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,8 +70,27 @@ class ProductSpaceModel:
     CD: Subspace
 
     def step(self, y: np.ndarray) -> np.ndarray:
-        """One lifted alternating step P_D P_C y, through the bases of C and D."""
-        return self.D.project(self.C.project(y))
+        """One lifted alternating step P_D P_C y for a vector or an n*r x s
+        block y: P_C block by block, y_i <- C_i (C_i^T y_i), then P_D as the
+        mean of the r blocks, copied back into every block."""
+        r = len(self.family)
+        (C_1, rows_1), *rest = self._C_blocks
+        total = C_1 @ (C_1.T @ y[rows_1])
+        for C_i, rows_i in rest:
+            total += C_i @ (C_i.T @ y[rows_i])
+        return np.concatenate([total / r] * r)
+
+    @cached_property
+    def _C_blocks(self) -> list[tuple[np.ndarray, slice]]:
+        """Each diagonal block C_i (n x dim M_i) of C's basis, sliced by the
+        member dimensions, with its rows i*n .. (i+1)*n - 1 in R^(n*r); a C
+        missing a member's columns gives that member an empty block."""
+        n, col, blocks = self.family.ambient_dim, 0, []
+        for i, S in enumerate(self.family):
+            rows = slice(i * n, (i + 1) * n)
+            blocks.append((self.C.basis[rows, col : col + S.dim], rows))
+            col += S.dim
+        return blocks
 
     def limit(self, y: np.ndarray) -> np.ndarray:
         """P_CD y, the limit of the lifted iteration from y, through the
@@ -176,11 +200,13 @@ def pierra_lift_residual(subspaces, starts, k_values) -> float:
     For each start x and step count k, compares (P_D P_C)^k applied to the
     lifted start against the lift of T^k(x), plus the projection of the
     lifted start onto C intersect D against the lift of P_M(x).  Each side
-    is applied through subspace bases, never as an n*r x n*r matrix, to all
-    starts as one block.  ``subspaces`` may be a model from
-    :func:`build_product`.  ``k_values`` is one integer >= 0 or a nonempty
-    1-d collection of them (:func:`methods.exponents`); ``starts`` must not
-    be empty, since a residual over no starts would check nothing.
+    is applied to all starts as one block, never as an n*r x n*r matrix:
+    the lifted side through :meth:`ProductSpaceModel.step` (P_C through C's
+    diagonal blocks, P_D as the block mean) and the basis of C intersect D,
+    the base side through the members' bases.  ``subspaces`` may be a model
+    from :func:`build_product`.  ``k_values`` is one integer >= 0 or a
+    nonempty 1-d collection of them (:func:`methods.exponents`); ``starts``
+    must not be empty, since a residual over no starts would check nothing.
     """
     ks = exponents(k_values, 0)
     model = subspaces if isinstance(subspaces, ProductSpaceModel) else build_product(subspaces)

@@ -60,6 +60,16 @@ def step_without_D(monkeypatch):
     monkeypatch.setattr(ProductSpaceModel, "step", lambda model, y: model.C.project(y))
 
 
+def P_D_copies_first_block(monkeypatch):
+    """The lifted step copies P_C y's first block into every block, where
+    P_D takes the mean of the r blocks."""
+
+    def step(model, y):
+        return lift_diag(model, model.C.project(y)[:N])
+
+    monkeypatch.setattr(ProductSpaceModel, "step", step)
+
+
 def trivial_CD(monkeypatch):
     patch_product(monkeypatch, lambda model: replace(model, CD=Subspace.trivial(model.C.ambient_dim)))
 
@@ -162,6 +172,10 @@ FAULTS = {
         {"norm_chain", "pierra_lift", "bounds"},
     ),
     "lifted step applies P_C only": (step_without_D, {"norm_chain", "pierra_lift", "bounds"}),
+    "lifted P_D copies the first block, not the block mean": (
+        P_D_copies_first_block,
+        {"norm_chain", "pierra_lift", "bounds"},
+    ),
     "C intersect D taken as {0}": (trivial_CD, {"norm_chain", "pierra_lift"}),
     "C intersect D sized dim M - 1": (CD_one_short, {"norm_chain", "pierra_lift"}),
     "anchor reads lift(P_M x) for P_CD lift(x)": (anchor_from_base, {"norm_chain"}),

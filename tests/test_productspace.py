@@ -304,6 +304,45 @@ class TestProductOperatorOnDiagonal:
         assert cos_CD(model) < 1.0
 
 
+@pytest.mark.parametrize("dims", [[1, 7], [7, 3, 1], [2, 1, 7, 5, 4]])
+def test_step_matches_dense_oracle_and_keeps_its_input(dims):
+    # Unequal members in R^7, among them a line and all of R^7: P_C through
+    # C's diagonal blocks and P_D as the block mean give the dense
+    # D.projector() @ C.projector(), on a vector and on a block.
+    rng = np.random.default_rng(len(dims))
+    model = build_product(random_family(rng, len(dims), 7, dims))
+    dense = model.D.projector() @ model.C.projector()
+    for y in (rng.standard_normal(7 * len(dims)), rng.standard_normal((7 * len(dims), 4))):
+        before = y.copy()
+        step = model.step(y)
+        assert step.shape == y.shape
+        assert np.linalg.norm(step - dense @ y) <= 1e-13 * np.linalg.norm(dense @ y)
+        assert np.array_equal(y, before)
+
+
+def test_lifted_walks_skip_the_dense_bases_of_C_and_D(monkeypatch):
+    # The lifted step reads C's diagonal blocks and takes P_D as the block
+    # mean: no walk projects through the nr x sum(dim M_i) basis of C or the
+    # nr x n basis of D.  (build_product and cos_CD still read them.)
+    rng = np.random.default_rng(4)
+    model = build_product(shared_part_family(rng))  # dims 7, 11, 3 in R^12
+    assert model.CD.dim == 2
+    n = model.family.ambient_dim
+    real = Subspace.project
+
+    def project(self, x):
+        if self is model.C or self is model.D:
+            raise AssertionError("projected through the dense basis of C or D")
+        return real(self, x)
+
+    monkeypatch.setattr(Subspace, "project", project)
+    starts = [rng.standard_normal(n) for _ in range(3)]
+    assert chain_residual_profile(model, range(1, 6)).max() <= 1e-10
+    assert pierra_lift_residual(model, starts, range(6)) <= 1e-10
+    traces = product_alternating_traces(model, starts, 5)
+    assert max(t.max_violation() for t in traces) <= 1e-10
+
+
 def test_lifted_paths_form_no_product_projector(monkeypatch):
     # The norm chain, the Pierra check and the product-space traces apply
     # P_C, P_D and P_CD, and T and P_M on the base side, through bases:
