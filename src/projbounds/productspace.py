@@ -18,27 +18,25 @@ No n*r x n*r matrix is formed.  The lifted step applies P_C block by
 block, y_i <- C_i (C_i^T y_i) with C_i the i-th diagonal block of C's
 basis, and P_D as the mean of the r blocks copied back into every block;
 P_CD acts through the basis of C intersect D, and cos(C, D) reads the
-bases of C, D and C intersect D.  The two product-operator members are
-norms of n*r x m blocks, m <= sum (dim M_i - dim M) (see
+bases of C and C intersect D.  D keeps no basis: for its orthonormal
+basis Q_D = (I, ..., I)/sqrt(r), Q_D^T X is the sum of X's r row blocks
+over sqrt(r) and Q_D x is lift(x)/sqrt(r).  The two product-operator
+members are norms of n*r x m blocks, m <= sum (dim M_i - dim M) (see
 :func:`chain_residual_profile`).
 
-On the inner product: the product space is often equipped with the
-averaged form <x, y> = (1/r) sum_i <x_i, y_i>.  That is a uniform positive
-multiple of the standard inner product on R^(n*r), and scaling an inner
-product by a constant a > 0 changes nothing this module computes: the
-norm scales uniformly (||.||' = sqrt(a) ||.||), so nearest-point
-minimizers, hence metric projections, are unchanged; operator norms are
-suprema of ||Ax||'/||x||' in which sqrt(a) cancels; angle quantities are
-Rayleigh quotients, which also cancel.  Everything here therefore uses
-the standard inner product.  The only scale-sensitive quantity is the
-norm of a lifted vector, sqrt(r) ||x|| under the standard metric, and all
-verification compares vectors on one side of the lift so the factor never
-enters.
+On the inner product: the averaged form <x, y> = (1/r) sum_i <x_i, y_i>
+often put on the product space is a multiple a > 0 of the standard one,
+and that scale changes nothing computed here: norms scale by sqrt(a), so
+nearest points (the projections) stay put, and sqrt(a) cancels from
+operator norms and from the Rayleigh quotients behind the angles.  So
+everything uses the standard inner product.  Only a lifted vector's norm,
+sqrt(r) ||x|| in the standard metric, depends on the scale, and all
+verification compares vectors on one side of the lift.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -62,10 +60,9 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class ProductSpaceModel:
     """The lifted pair (C, D) in R^(n*r) of the base ``family``, and ``CD``,
-    their intersection C intersect D, the diagonal lift of M."""
+    their intersection C intersect D, the diagonal lift of M (D keeps no basis)."""
 
     C: Subspace
-    D: Subspace
     family: Family
     CD: Subspace
 
@@ -92,6 +89,12 @@ class ProductSpaceModel:
             col += S.dim
         return blocks
 
+    def diag_coords(self, X: np.ndarray) -> np.ndarray:
+        """Q_D^T X for D's basis Q_D = (I, ..., I)/sqrt(r): the sum of the r
+        row blocks of X (a vector or an n*r x s block) over sqrt(r)."""
+        r = len(self.family)
+        return X.reshape(r, self.family.ambient_dim, *X.shape[1:]).sum(axis=0) / np.sqrt(r)
+
     def limit(self, y: np.ndarray) -> np.ndarray:
         """P_CD y, the limit of the lifted iteration from y, through the
         basis of C intersect D."""
@@ -99,13 +102,12 @@ class ProductSpaceModel:
 
 
 def build_product(subspaces) -> ProductSpaceModel:
-    """Assemble C (block-diagonal lift), D (diagonal) and C intersect D.
+    """Assemble C (block-diagonal lift) and C intersect D.
 
-    C's basis stacks each factor's basis into its own block row; D's basis
-    columns are (1/sqrt(r)) (e_j, ..., e_j), orthonormal under the standard
-    metric.  dim C = sum_i dim M_i and dim D = n.  C intersect D, the lift of
-    M, is sized by dim M and found in R^(n*r), where Pierra's anchor term
-    tests it: the directions of the thinner of C and D nearest the other.
+    C's basis stacks each factor's basis into its own block row.  C intersect
+    D, the lift of M, is sized by dim M and found in R^(n*r), where Pierra's
+    anchor term tests it: the directions of the thinner of C (dim sum_i dim
+    M_i) and D (dim n) nearest the other, from Q_C - P_D Q_C or Q_D - P_C Q_D.
     """
     fam = Family.of(subspaces, 2)
     n, r = fam.ambient_dim, len(fam)
@@ -114,22 +116,23 @@ def build_product(subspaces) -> ProductSpaceModel:
     for i, S in enumerate(fam):
         C_basis[i * n : (i + 1) * n, col : col + S.dim] = S.basis
         col += S.dim
-    D_basis = np.vstack([np.eye(n)] * r) / np.sqrt(r)
-    C, D = Subspace(C_basis), Subspace(D_basis)
-    thin, other = sorted((C, D), key=lambda S: S.dim)
+    C = Subspace(C_basis)
+    model = ProductSpaceModel(C, fam, Subspace.trivial(n * r))
     if (m := fam.intersection.dim) == 0:
-        return ProductSpaceModel(C, D, fam, Subspace.trivial(n * r))
-    Vt = np.linalg.svd(thin.basis - other.project(thin.basis), full_matrices=False)[2]
-    return ProductSpaceModel(C, D, fam, Subspace(thin.basis @ Vt[thin.dim - m :].T))
+        return model
+    if C.dim <= n:
+        thin = C.basis
+        sines = thin - lift_diag(model, model.diag_coords(thin)) / np.sqrt(r)
+    else:
+        thin = lift_diag(model, np.eye(n)) / np.sqrt(r)
+        sines = thin - C.project(thin)
+    Vt = np.linalg.svd(sines, full_matrices=False)[2]
+    return replace(model, CD=Subspace(thin @ Vt[thin.shape[1] - m :].T))
 
 
 def lift_diag(model: ProductSpaceModel, x) -> np.ndarray:
-    """The diagonal lift (x, ..., x) of a base-space vector, or of each block column.
-
-    Under the standard metric the lift has norm sqrt(r) ||x||; under the
-    averaged metric it has norm ||x||.  Callers compare lifted vectors with
-    lifted vectors, so either convention gives the same verdict.
-    """
+    """The diagonal lift (x, ..., x) of a base-space vector, or of each block
+    column; its norm is sqrt(r) ||x|| (see the module note on the metric)."""
     v = as_points(x, model.family.ambient_dim)
     return np.concatenate([v] * len(model.family))
 
@@ -137,10 +140,10 @@ def lift_diag(model: ProductSpaceModel, x) -> np.ndarray:
 def cos_CD(model: ProductSpaceModel) -> float:
     """cos(C, D) = ||P_C P_D - P_CD|| (Deutsch 2001, ch. 9) inside R^(n*r): as C
     intersect D lies in both, ||Q_C^T Q_D - (Q_C^T Q_CD)(Q_CD^T Q_D)||."""
-    if model.CD.dim in (model.C.dim, model.D.dim):
+    if model.CD.dim in (model.C.dim, model.family.ambient_dim):
         return 0.0  # C in D or D in C: no angle, as on a degenerate family
-    C, D, CD = model.C.basis, model.D.basis, model.CD.basis
-    return spectral_norm(C.T @ D - (C.T @ CD) @ (CD.T @ D))
+    C, CD = model.C.basis, model.CD.basis
+    return spectral_norm(model.diag_coords(C).T - (C.T @ CD) @ model.diag_coords(CD).T)
 
 
 def chain_residual_profile(subspaces, k_values) -> np.ndarray:
@@ -183,7 +186,7 @@ def chain_residual_profile(subspaces, k_values) -> np.ndarray:
     q = optimal_rate(friedrichs_gram(fam), len(fam))
     model = model or build_product(fam)
     c_prod = cos_CD(model)
-    start = model.D.basis @ S
+    start = lift_diag(model, S) / np.sqrt(len(fam))
     anchor, walk = model.limit(start), orbit(model.step, start)
     del start  # the walk frees its start block at its first step
     prod = sweep(walked, lambda Z: spectral_norm(Z - anchor), walk)

@@ -157,6 +157,13 @@ def stacked_intersection(subspaces) -> Subspace:
     return Subspace(null_space(np.vstack([eye - S.projector() for S in subs])))
 
 
+def dense_D(model) -> Subspace:
+    """Test-only oracle: the diagonal D of ``model`` as a dense Subspace of
+    R^(n*r), with orthonormal basis (I, ..., I)/sqrt(r)."""
+    r = len(model.family)
+    return Subspace(np.vstack([np.eye(model.family.ambient_dim)] * r) / np.sqrt(r))
+
+
 def dense_chain_residual_profile(subspaces, k_values) -> np.ndarray:
     """Test-only oracle: the chain residuals with members 1 and 2 taken
     from the dense n x n matrices T and P_M, and members 5 and 6 from the
@@ -171,7 +178,8 @@ def dense_chain_residual_profile(subspaces, k_values) -> np.ndarray:
     q = optimal_rate(fr, len(fam))
     c_prod = cos_CD(model)
     P_CD = model.CD.projector()
-    T_prod = model.D.projector() @ model.C.projector() @ model.D.projector()
+    P_D = dense_D(model).projector()
+    T_prod = P_D @ model.C.projector() @ P_D
     prod_one_step = symmetric_norm(T_prod - P_CD)
     rows = []
     for k in ks.reshape(-1).tolist():
@@ -249,7 +257,7 @@ def dense_trace_errors(method, family, x, k_max) -> np.ndarray:
         return dense_walk_errors(step, target, x, k_max)
     if method == "product_alternating":
         model = build_product(family)
-        A, y = model.D.projector() @ model.C.projector(), np.tile(x, len(family))
+        A, y = dense_D(model).projector() @ model.C.projector(), np.tile(x, len(family))
         return dense_walk_errors(lambda z: A @ z, model.CD.projector() @ y, y, k_max)
     build = simultaneous_operator if method == "simultaneous" else cyclic_operator
     T, P_M = dense_operator(build(family))

@@ -34,6 +34,7 @@ from projbounds import (
     verify_error_identity,
 )
 from helpers import (
+    dense_D,
     dense_error_operator,
     lines_exact_60,
     planted_pair,
@@ -204,8 +205,9 @@ def test_criterion_9_not_aligned_scalars(family_instances):
         fr = friedrichs_gram(subs)
         T = simultaneous_operator(subs)
         model = build_product(subs)
-        P_CD = intersection([model.C, model.D]).projector()
-        alternating = spectral_norm(model.D.projector() @ model.C.projector() - P_CD)
+        D = dense_D(model)
+        P_CD = intersection([model.C, D]).projector()
+        alternating = spectral_norm(D.projector() @ model.C.projector() - P_CD)
         assert fr.raw < 1.0
         assert spectral_norm(dense_error_operator(T)) < 1.0
         assert alternating < 1.0

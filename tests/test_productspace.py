@@ -20,6 +20,7 @@ from projbounds import (
 from projbounds import subspaces
 from projbounds.productspace import product_alternating_traces
 from helpers import (
+    dense_D,
     dense_chain_residual_profile,
     dense_error_operator,
     dense_operator,
@@ -35,38 +36,45 @@ class TestBuildProduct:
     def test_orthogonal_axes_dimensions(self):
         model = build_product(orthogonal_axes())
         assert model.C.ambient_dim == 4 and model.C.dim == 2
-        assert model.D.dim == 2
-        assert intersection([model.C, model.D]).dim == 0
+        assert intersection([model.C, dense_D(model)]).dim == 0
 
     def test_full_factors(self):
         model = build_product([Subspace.full(2), Subspace.full(2)])
         assert model.C.dim == 4
-        assert same_subspace(intersection([model.C, model.D]), model.D)
-        assert same_subspace(model.CD, model.D)
+        D = dense_D(model)
+        assert same_subspace(intersection([model.C, D]), D)
+        assert same_subspace(model.CD, D)
 
     def test_trivial_factors(self):
         model = build_product([Subspace.trivial(2), Subspace.trivial(2)])
         assert model.C.dim == 0
-        assert intersection([model.C, model.D]).dim == model.CD.dim == 0
+        assert intersection([model.C, dense_D(model)]).dim == model.CD.dim == 0
 
     def test_dim_bookkeeping_random(self):
         rng = np.random.default_rng(5)
         subs = random_family(rng, 3, 7)
         model = build_product(subs)
         assert model.C.dim == sum(S.dim for S in subs)
-        assert model.D.dim == 7
 
-    def test_diagonal_intersection_is_lifted_common_part(self):
-        rng = np.random.default_rng(11)
-        subs = random_family(rng, 3, 6, dims=[4, 5, 4])
+    # C intersect D comes from the thinner of C and D: C's side when the
+    # member dimensions sum to at most n, D's side above it.
+    @pytest.mark.parametrize("n, dims", [(15, [4, 5, 4]), (15, [4, 5, 6]), (10, [5, 6, 7])])
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_diagonal_intersection_is_lifted_common_part(self, n, dims, m):
+        rng = np.random.default_rng(11 + m)
+        shared = rng.standard_normal((n, m))
+        subs = [Subspace.from_spanning(np.hstack([shared, rng.standard_normal((n, d - m))])) for d in dims]
         model = build_product(subs)
-        common = intersection(subs)
-        CD = intersection([model.C, model.D])
-        assert CD.dim == common.dim
+        common, D = intersection(subs), dense_D(model)
+        CD = intersection([model.C, D])
+        assert CD.dim == common.dim == m
         assert same_subspace(model.CD, CD)
-        if common.dim:
+        if m:
             lifted = np.vstack([common.basis] * 3) / np.sqrt(3.0)
             assert same_subspace(CD, Subspace(lifted))
+        Q_C, Q_D, Q_CD = model.C.basis, D.basis, CD.basis
+        dense_cos = spectral_norm(Q_C.T @ Q_D - (Q_C.T @ Q_CD) @ (Q_CD.T @ Q_D))
+        assert abs(cos_CD(model) - dense_cos) <= 1e-13
 
     def test_rejects_mixed_dims(self):
         with pytest.raises(InputError):
@@ -271,7 +279,7 @@ class TestProductOperatorOnDiagonal:
         subs = random_family(rng, int(rng.integers(2, 5)), int(rng.integers(2, 12)))
         model = build_product(subs)
         P_C = model.C.projector()
-        P_D = model.D.projector()
+        P_D = dense_D(model).projector()
         T = simultaneous_operator(subs)
         x = rng.standard_normal(model.family.ambient_dim)
         lhs = P_D @ P_C @ P_D @ lift_diag(model, x)
@@ -296,8 +304,9 @@ class TestProductOperatorOnDiagonal:
             return
         T = simultaneous_operator(subs)
         model = build_product(subs)
-        P_CD = intersection([model.C, model.D]).projector()
-        alternating = spectral_norm(model.D.projector() @ model.C.projector() - P_CD)
+        D = dense_D(model)
+        P_CD = intersection([model.C, D]).projector()
+        alternating = spectral_norm(D.projector() @ model.C.projector() - P_CD)
         assert fr.raw < 1.0
         assert spectral_norm(dense_error_operator(T)) < 1.0
         assert alternating < 1.0
@@ -308,10 +317,10 @@ class TestProductOperatorOnDiagonal:
 def test_step_matches_dense_oracle_and_keeps_its_input(dims):
     # Unequal members in R^7, among them a line and all of R^7: P_C through
     # C's diagonal blocks and P_D as the block mean give the dense
-    # D.projector() @ C.projector(), on a vector and on a block.
+    # P_D @ C.projector(), on a vector and on a block.
     rng = np.random.default_rng(len(dims))
     model = build_product(random_family(rng, len(dims), 7, dims))
-    dense = model.D.projector() @ model.C.projector()
+    dense = dense_D(model).projector() @ model.C.projector()
     for y in (rng.standard_normal(7 * len(dims)), rng.standard_normal((7 * len(dims), 4))):
         before = y.copy()
         step = model.step(y)
@@ -322,8 +331,8 @@ def test_step_matches_dense_oracle_and_keeps_its_input(dims):
 
 def test_lifted_walks_skip_the_dense_bases_of_C_and_D(monkeypatch):
     # The lifted step reads C's diagonal blocks and takes P_D as the block
-    # mean: no walk projects through the nr x sum(dim M_i) basis of C or the
-    # nr x n basis of D.  (build_product and cos_CD still read them.)
+    # mean: no walk projects through the nr x sum(dim M_i) basis of C, and
+    # D has no basis to project through.  (build_product and cos_CD read C's.)
     rng = np.random.default_rng(4)
     model = build_product(shared_part_family(rng))  # dims 7, 11, 3 in R^12
     assert model.CD.dim == 2
@@ -331,8 +340,8 @@ def test_lifted_walks_skip_the_dense_bases_of_C_and_D(monkeypatch):
     real = Subspace.project
 
     def project(self, x):
-        if self is model.C or self is model.D:
-            raise AssertionError("projected through the dense basis of C or D")
+        if self is model.C:
+            raise AssertionError("projected through the dense basis of C")
         return real(self, x)
 
     monkeypatch.setattr(Subspace, "project", project)
@@ -401,3 +410,23 @@ def test_chain_profile_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 6 * nr * n * 8
+
+
+def test_product_space_peak_memory_stays_below_a_tenth_of_a_D_basis():
+    # D keeps no basis: building the model, cos(C, D), the norm chain, the
+    # Pierra check and the lifted traces of nine basis vectors in R^3000
+    # together peak below a tenth of the nr x n matrix a basis of D would be.
+    rng = np.random.default_rng(0)
+    subs = random_family(rng, 3, 3000, [3] * 3)
+    starts = [rng.standard_normal(3000) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        model = build_product(subs)
+        cos_CD(model)
+        chain_residual_profile(model, range(1, 6))
+        pierra_lift_residual(model, starts, range(6))
+        product_alternating_traces(model, starts, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 3000 * 3000 * 8 / 10
