@@ -56,14 +56,16 @@ class CheckInputs:
 
 def _norm_chain(run: CheckInputs) -> tuple[float, str]:
     # A degenerate family makes the chain raise before any product space
-    # is built.
+    # is built.  The verdict is then checked by ||T - P_M||, walked on the
+    # reduced span: exactly 0 when it has no columns, as on a genuinely
+    # degenerate family.
     try:
         profile = chain_residual_profile(
             run.family if run.family.degenerate else run.product, range(1, run.k_max + 1)
         )
     except DegenerateError as exc:
         run.chain_residuals = [0.0] * 5
-        return 0.0, f"degenerate: {exc}"
+        return error_operator_norm(simultaneous_operator(run.family), 1), f"degenerate: {exc}"
     worst = np.max(profile, axis=0)
     run.chain_residuals = [float(v) for v in worst]
     return float(np.max(worst)), f"max adjacent residuals over k=1..{run.k_max}"

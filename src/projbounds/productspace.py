@@ -14,14 +14,15 @@ central identity checked here is the five-link chain
                      =  || (P_D P_C P_D)^k - P_CD ||,
 
 with T the averaged projector and P_CD the projector onto C intersect D.
-No n*r x n*r matrix is formed.  The lifted step applies P_C block by
-block, y_i <- C_i (C_i^T y_i) with C_i the i-th diagonal block of C's
-basis, and P_D as the mean of the r blocks copied back into every block;
-P_CD acts through the basis of C intersect D, and cos(C, D) reads the
-bases of C and C intersect D.  D keeps no basis: for its orthonormal
-basis Q_D = (I, ..., I)/sqrt(r), Q_D^T X is the sum of X's r row blocks
-over sqrt(r) and Q_D x is lift(x)/sqrt(r).  The two product-operator
-members are norms of n*r x m blocks, m <= sum (dim M_i - dim M) (see
+No n*r x n*r matrix is formed, and neither C nor D keeps a dense basis.
+C is its r diagonal blocks C_i, the members' bases: the lifted step
+applies P_C block by block, y_i <- C_i (C_i^T y_i), and P_D as the mean
+of the r blocks copied back into every block; P_CD acts through the
+basis of C intersect D.  For D's orthonormal basis Q_D = (I, ..., I)/sqrt(r),
+Q_D^T X is the sum of X's r row blocks over sqrt(r) and Q_D x is
+lift(x)/sqrt(r); so Q_D^T Q_C = [C_1 ... C_r]/sqrt(r), and Q_C^T Y stacks
+the C_i^T Y_i of Y's row blocks.  The two product-operator members are
+norms of n*r x m blocks, m <= sum (dim M_i - dim M) (see
 :func:`chain_residual_profile`).
 
 On the inner product: the averaged form <x, y> = (1/r) sum_i <x_i, y_i>
@@ -37,7 +38,6 @@ verification compares vectors on one side of the lift.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -59,10 +59,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ProductSpaceModel:
-    """The lifted pair (C, D) in R^(n*r) of the base ``family``, and ``CD``,
-    their intersection C intersect D, the diagonal lift of M (D keeps no basis)."""
+    """The lifted pair (C, D) in R^(n*r) of the base ``family``: C as its
+    diagonal blocks ``C_blocks`` (n x dim M_i each, the members' bases), D as
+    structure only, and ``CD``, their intersection C intersect D, the diagonal
+    lift of M."""
 
-    C: Subspace
+    C_blocks: tuple[np.ndarray, ...]
     family: Family
     CD: Subspace
 
@@ -70,24 +72,12 @@ class ProductSpaceModel:
         """One lifted alternating step P_D P_C y for a vector or an n*r x s
         block y: P_C block by block, y_i <- C_i (C_i^T y_i), then P_D as the
         mean of the r blocks, copied back into every block."""
-        r = len(self.family)
-        (C_1, rows_1), *rest = self._C_blocks
-        total = C_1 @ (C_1.T @ y[rows_1])
-        for C_i, rows_i in rest:
-            total += C_i @ (C_i.T @ y[rows_i])
+        n, r = self.family.ambient_dim, len(self.family)
+        C_1, *rest = self.C_blocks
+        total = C_1 @ (C_1.T @ y[:n])
+        for i, C_i in enumerate(rest, 1):
+            total += C_i @ (C_i.T @ y[i * n : (i + 1) * n])
         return np.concatenate([total / r] * r)
-
-    @cached_property
-    def _C_blocks(self) -> list[tuple[np.ndarray, slice]]:
-        """Each diagonal block C_i (n x dim M_i) of C's basis, sliced by the
-        member dimensions, with its rows i*n .. (i+1)*n - 1 in R^(n*r); a C
-        missing a member's columns gives that member an empty block."""
-        n, col, blocks = self.family.ambient_dim, 0, []
-        for i, S in enumerate(self.family):
-            rows = slice(i * n, (i + 1) * n)
-            blocks.append((self.C.basis[rows, col : col + S.dim], rows))
-            col += S.dim
-        return blocks
 
     def diag_coords(self, X: np.ndarray) -> np.ndarray:
         """Q_D^T X for D's basis Q_D = (I, ..., I)/sqrt(r): the sum of the r
@@ -102,30 +92,29 @@ class ProductSpaceModel:
 
 
 def build_product(subspaces) -> ProductSpaceModel:
-    """Assemble C (block-diagonal lift) and C intersect D.
+    """Assemble C (the members' bases as its diagonal blocks) and C intersect D.
 
-    C's basis stacks each factor's basis into its own block row.  C intersect
-    D, the lift of M, is sized by dim M and found in R^(n*r), where Pierra's
-    anchor term tests it: the directions of the thinner of C (dim sum_i dim
-    M_i) and D (dim n) nearest the other, from Q_C - P_D Q_C or Q_D - P_C Q_D.
+    C intersect D, the lift of M, is sized by dim M and found in R^(n*r),
+    where Pierra's anchor term tests it: the directions of the thinner of C
+    (dim sum_i dim M_i) and D (dim n) nearest the other, from the sines
+    Q_C - P_D Q_C or Q_D - P_C Q_D, the latter (I - C_i C_i^T)/sqrt(r) block
+    by block.  Only the former forms C's block-diagonal basis, for its SVD.
     """
     fam = Family.of(subspaces, 2)
     n, r = fam.ambient_dim, len(fam)
-    C_basis = np.zeros((n * r, sum(S.dim for S in fam)))
-    col = 0
-    for i, S in enumerate(fam):
-        C_basis[i * n : (i + 1) * n, col : col + S.dim] = S.basis
-        col += S.dim
-    C = Subspace(C_basis)
-    model = ProductSpaceModel(C, fam, Subspace.trivial(n * r))
+    blocks = tuple(S.basis for S in fam)
+    model = ProductSpaceModel(blocks, fam, Subspace.trivial(n * r))
     if (m := fam.intersection.dim) == 0:
         return model
-    if C.dim <= n:
-        thin = C.basis
+    cols = np.cumsum([0] + [S.dim for S in fam])
+    if cols[-1] <= n:
+        thin = np.zeros((n * r, cols[-1]))
+        for i, C_i in enumerate(blocks):
+            thin[i * n : (i + 1) * n, cols[i] : cols[i + 1]] = C_i
         sines = thin - lift_diag(model, model.diag_coords(thin)) / np.sqrt(r)
     else:
         thin = lift_diag(model, np.eye(n)) / np.sqrt(r)
-        sines = thin - C.project(thin)
+        sines = thin - np.vstack([C_i @ (C_i.T @ thin[:n]) for C_i in blocks])
     Vt = np.linalg.svd(sines, full_matrices=False)[2]
     return replace(model, CD=Subspace(thin @ Vt[thin.shape[1] - m :].T))
 
@@ -139,11 +128,15 @@ def lift_diag(model: ProductSpaceModel, x) -> np.ndarray:
 
 def cos_CD(model: ProductSpaceModel) -> float:
     """cos(C, D) = ||P_C P_D - P_CD|| (Deutsch 2001, ch. 9) inside R^(n*r): as C
-    intersect D lies in both, ||Q_C^T Q_D - (Q_C^T Q_CD)(Q_CD^T Q_D)||."""
-    if model.CD.dim in (model.C.dim, model.family.ambient_dim):
+    intersect D lies in both, ||Q_C^T Q_D - (Q_C^T Q_CD)(Q_CD^T Q_D)||, read
+    from C's diagonal blocks: Q_D^T Q_C = [C_1 ... C_r]/sqrt(r), and
+    Q_C^T Q_CD stacks the C_i^T (Q_CD)_i."""
+    n, CD = model.family.ambient_dim, model.CD.basis
+    A = np.hstack(model.C_blocks) / np.sqrt(len(model.family))
+    if model.CD.dim in (A.shape[1], n):
         return 0.0  # C in D or D in C: no angle, as on a degenerate family
-    C, CD = model.C.basis, model.CD.basis
-    return spectral_norm(model.diag_coords(C).T - (C.T @ CD) @ model.diag_coords(CD).T)
+    C_CD = np.vstack([C_i.T @ CD[i * n : (i + 1) * n] for i, C_i in enumerate(model.C_blocks)])
+    return spectral_norm(A.T - C_CD @ model.diag_coords(CD).T)
 
 
 def chain_residual_profile(subspaces, k_values) -> np.ndarray:

@@ -164,6 +164,19 @@ def dense_D(model) -> Subspace:
     return Subspace(np.vstack([np.eye(model.family.ambient_dim)] * r) / np.sqrt(r))
 
 
+def dense_C(model) -> Subspace:
+    """Test-only oracle: C = M_1 x ... x M_r of ``model`` as a dense Subspace
+    of R^(n*r), its basis block diagonal with ``model.C_blocks`` on the
+    diagonal."""
+    n, blocks = model.family.ambient_dim, model.C_blocks
+    basis = np.zeros((n * len(blocks), sum(C_i.shape[1] for C_i in blocks)))
+    col = 0
+    for i, C_i in enumerate(blocks):
+        basis[i * n : (i + 1) * n, col : col + C_i.shape[1]] = C_i
+        col += C_i.shape[1]
+    return Subspace(basis)
+
+
 def dense_chain_residual_profile(subspaces, k_values) -> np.ndarray:
     """Test-only oracle: the chain residuals with members 1 and 2 taken
     from the dense n x n matrices T and P_M, and members 5 and 6 from the
@@ -179,7 +192,7 @@ def dense_chain_residual_profile(subspaces, k_values) -> np.ndarray:
     c_prod = cos_CD(model)
     P_CD = model.CD.projector()
     P_D = dense_D(model).projector()
-    T_prod = P_D @ model.C.projector() @ P_D
+    T_prod = P_D @ dense_C(model).projector() @ P_D
     prod_one_step = symmetric_norm(T_prod - P_CD)
     rows = []
     for k in ks.reshape(-1).tolist():
@@ -257,7 +270,7 @@ def dense_trace_errors(method, family, x, k_max) -> np.ndarray:
         return dense_walk_errors(step, target, x, k_max)
     if method == "product_alternating":
         model = build_product(family)
-        A, y = dense_D(model).projector() @ model.C.projector(), np.tile(x, len(family))
+        A, y = dense_D(model).projector() @ dense_C(model).projector(), np.tile(x, len(family))
         return dense_walk_errors(lambda z: A @ z, model.CD.projector() @ y, y, k_max)
     build = simultaneous_operator if method == "simultaneous" else cyclic_operator
     T, P_M = dense_operator(build(family))

@@ -34,6 +34,7 @@ from projbounds import (
     verify_error_identity,
 )
 from helpers import (
+    dense_C,
     dense_D,
     dense_error_operator,
     lines_exact_60,
@@ -205,9 +206,9 @@ def test_criterion_9_not_aligned_scalars(family_instances):
         fr = friedrichs_gram(subs)
         T = simultaneous_operator(subs)
         model = build_product(subs)
-        D = dense_D(model)
-        P_CD = intersection([model.C, D]).projector()
-        alternating = spectral_norm(D.projector() @ model.C.projector() - P_CD)
+        C, D = dense_C(model), dense_D(model)
+        P_CD = intersection([C, D]).projector()
+        alternating = spectral_norm(D.projector() @ C.projector() - P_CD)
         assert fr.raw < 1.0
         assert spectral_norm(dense_error_operator(T)) < 1.0
         assert alternating < 1.0

@@ -10,8 +10,9 @@ turn into a copy of another unnoticed, and so has each side of the
 lemma.  The family has a one-dimensional common part, so C intersect D
 is not {0}, and the scenario iterates in the product space, so
 ``bounds`` reads the lifted traces.  A family wrongly judged degenerate
-is planted on base-space runs, whose trace bounds read the operator's
-rate.
+is planted on every method's runs: the norm chain's degenerate witness
+refutes it, and so do base-space trace bounds, which read the
+operator's rate.
 """
 
 from dataclasses import replace
@@ -24,6 +25,7 @@ from projbounds.productspace import ProductSpaceModel, lift_diag
 from projbounds.runner import run_scenario
 from projbounds.scenario import Scenario
 from projbounds.subspaces import Family, Subspace
+from helpers import dense_C
 
 N = 6
 
@@ -51,13 +53,14 @@ def patch_product(monkeypatch, change):
 
 def drop_last_block(monkeypatch):
     def change(model):
-        return replace(model, C=Subspace(model.C.basis[:, : -model.family.members[-1].dim]))
+        *kept, last = model.C_blocks
+        return replace(model, C_blocks=(*kept, last[:, :0]))
 
     patch_product(monkeypatch, change)
 
 
 def step_without_D(monkeypatch):
-    monkeypatch.setattr(ProductSpaceModel, "step", lambda model, y: model.C.project(y))
+    monkeypatch.setattr(ProductSpaceModel, "step", lambda model, y: dense_C(model).project(y))
 
 
 def P_D_copies_first_block(monkeypatch):
@@ -65,13 +68,13 @@ def P_D_copies_first_block(monkeypatch):
     P_D takes the mean of the r blocks."""
 
     def step(model, y):
-        return lift_diag(model, model.C.project(y)[:N])
+        return lift_diag(model, dense_C(model).project(y)[:N])
 
     monkeypatch.setattr(ProductSpaceModel, "step", step)
 
 
 def trivial_CD(monkeypatch):
-    patch_product(monkeypatch, lambda model: replace(model, CD=Subspace.trivial(model.C.ambient_dim)))
+    patch_product(monkeypatch, lambda model: replace(model, CD=Subspace.trivial(N * len(model.family))))
 
 
 def CD_one_short(monkeypatch):
@@ -256,11 +259,20 @@ def test_short_reduced_components_fail_the_chain_on_base_space_runs(monkeypatch,
     assert failed_checks(method) == {"norm_chain"}
 
 
-@pytest.mark.parametrize("method", ["simultaneous", "cyclic"])
+FORCED_DEGENERACY_FAILS = {
+    "simultaneous": {"bounds", "norm_chain"},
+    "cyclic": {"bounds", "norm_chain"},
+    "product_alternating": {"norm_chain"},
+}
+
+
+@pytest.mark.parametrize("method", FORCED_DEGENERACY_FAILS)
 def test_forced_degeneracy_fails_bounds(monkeypatch, method):
-    # Every route and the norm chain read Family.degenerate; the traces'
-    # rate, on a degenerate family only the members' rounding-level
-    # defects, is refuted by the iterates' errors.
+    # Every route and the norm chain read Family.degenerate.  The chain's
+    # witness ||T - P_M||, walked on the reduced span, is 0 only on a truly
+    # degenerate family; the base-space traces' rate, on a degenerate family
+    # only the members' rounding-level defects, is refuted by the iterates'
+    # errors.  The lifted traces' bounds read cos(C, D), not the verdict.
     assert failed_checks(method) == set()
     monkeypatch.setattr(Family, "degenerate", True)
-    assert failed_checks(method) == {"bounds"}
+    assert failed_checks(method) == FORCED_DEGENERACY_FAILS[method]

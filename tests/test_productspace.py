@@ -20,6 +20,7 @@ from projbounds import (
 from projbounds import subspaces
 from projbounds.productspace import product_alternating_traces
 from helpers import (
+    dense_C,
     dense_D,
     dense_chain_residual_profile,
     dense_error_operator,
@@ -35,26 +36,27 @@ from helpers import (
 class TestBuildProduct:
     def test_orthogonal_axes_dimensions(self):
         model = build_product(orthogonal_axes())
-        assert model.C.ambient_dim == 4 and model.C.dim == 2
-        assert intersection([model.C, dense_D(model)]).dim == 0
+        C = dense_C(model)
+        assert C.ambient_dim == 4 and C.dim == 2
+        assert intersection([C, dense_D(model)]).dim == 0
 
     def test_full_factors(self):
         model = build_product([Subspace.full(2), Subspace.full(2)])
-        assert model.C.dim == 4
-        D = dense_D(model)
-        assert same_subspace(intersection([model.C, D]), D)
+        C, D = dense_C(model), dense_D(model)
+        assert C.dim == 4
+        assert same_subspace(intersection([C, D]), D)
         assert same_subspace(model.CD, D)
 
     def test_trivial_factors(self):
         model = build_product([Subspace.trivial(2), Subspace.trivial(2)])
-        assert model.C.dim == 0
-        assert intersection([model.C, dense_D(model)]).dim == model.CD.dim == 0
+        assert dense_C(model).dim == 0
+        assert intersection([dense_C(model), dense_D(model)]).dim == model.CD.dim == 0
 
     def test_dim_bookkeeping_random(self):
         rng = np.random.default_rng(5)
         subs = random_family(rng, 3, 7)
         model = build_product(subs)
-        assert model.C.dim == sum(S.dim for S in subs)
+        assert dense_C(model).dim == sum(S.dim for S in subs)
 
     # C intersect D comes from the thinner of C and D: C's side when the
     # member dimensions sum to at most n, D's side above it.
@@ -66,13 +68,14 @@ class TestBuildProduct:
         subs = [Subspace.from_spanning(np.hstack([shared, rng.standard_normal((n, d - m))])) for d in dims]
         model = build_product(subs)
         common, D = intersection(subs), dense_D(model)
-        CD = intersection([model.C, D])
+        C = dense_C(model)
+        CD = intersection([C, D])
         assert CD.dim == common.dim == m
         assert same_subspace(model.CD, CD)
         if m:
             lifted = np.vstack([common.basis] * 3) / np.sqrt(3.0)
             assert same_subspace(CD, Subspace(lifted))
-        Q_C, Q_D, Q_CD = model.C.basis, D.basis, CD.basis
+        Q_C, Q_D, Q_CD = C.basis, D.basis, CD.basis
         dense_cos = spectral_norm(Q_C.T @ Q_D - (Q_C.T @ Q_CD) @ (Q_CD.T @ Q_D))
         assert abs(cos_CD(model) - dense_cos) <= 1e-13
 
@@ -84,7 +87,7 @@ class TestBuildProduct:
         # no n*r x n*r matrix is formed, so no cap on n*r applies
         rng = np.random.default_rng(8)
         model = build_product(random_family(rng, 3, 700, [2, 2, 2]))
-        assert model.C.ambient_dim == 2100
+        assert model.CD.ambient_dim == 2100
         assert chain_residual_profile(model, 1).max() <= 1e-8
 
 
@@ -278,7 +281,7 @@ class TestProductOperatorOnDiagonal:
         rng = np.random.default_rng(600 + seed)
         subs = random_family(rng, int(rng.integers(2, 5)), int(rng.integers(2, 12)))
         model = build_product(subs)
-        P_C = model.C.projector()
+        P_C = dense_C(model).projector()
         P_D = dense_D(model).projector()
         T = simultaneous_operator(subs)
         x = rng.standard_normal(model.family.ambient_dim)
@@ -304,9 +307,9 @@ class TestProductOperatorOnDiagonal:
             return
         T = simultaneous_operator(subs)
         model = build_product(subs)
-        D = dense_D(model)
-        P_CD = intersection([model.C, D]).projector()
-        alternating = spectral_norm(D.projector() @ model.C.projector() - P_CD)
+        C, D = dense_C(model), dense_D(model)
+        P_CD = intersection([C, D]).projector()
+        alternating = spectral_norm(D.projector() @ C.projector() - P_CD)
         assert fr.raw < 1.0
         assert spectral_norm(dense_error_operator(T)) < 1.0
         assert alternating < 1.0
@@ -317,10 +320,10 @@ class TestProductOperatorOnDiagonal:
 def test_step_matches_dense_oracle_and_keeps_its_input(dims):
     # Unequal members in R^7, among them a line and all of R^7: P_C through
     # C's diagonal blocks and P_D as the block mean give the dense
-    # P_D @ C.projector(), on a vector and on a block.
+    # P_D P_C of the oracles, on a vector and on a block.
     rng = np.random.default_rng(len(dims))
     model = build_product(random_family(rng, len(dims), 7, dims))
-    dense = dense_D(model).projector() @ model.C.projector()
+    dense = dense_D(model).projector() @ dense_C(model).projector()
     for y in (rng.standard_normal(7 * len(dims)), rng.standard_normal((7 * len(dims), 4))):
         before = y.copy()
         step = model.step(y)
@@ -331,8 +334,8 @@ def test_step_matches_dense_oracle_and_keeps_its_input(dims):
 
 def test_lifted_walks_skip_the_dense_bases_of_C_and_D(monkeypatch):
     # The lifted step reads C's diagonal blocks and takes P_D as the block
-    # mean: no walk projects through the nr x sum(dim M_i) basis of C, and
-    # D has no basis to project through.  (build_product and cos_CD read C's.)
+    # mean: neither C nor D has a dense basis to project through, and no
+    # walk projects through any subspace of R^(nr) but C intersect D.
     rng = np.random.default_rng(4)
     model = build_product(shared_part_family(rng))  # dims 7, 11, 3 in R^12
     assert model.CD.dim == 2
@@ -340,8 +343,8 @@ def test_lifted_walks_skip_the_dense_bases_of_C_and_D(monkeypatch):
     real = Subspace.project
 
     def project(self, x):
-        if self is model.C:
-            raise AssertionError("projected through the dense basis of C")
+        if self.ambient_dim != n and self is not model.CD:
+            raise AssertionError(f"projected through a {self.dim}-dimensional subspace of R^(nr)")
         return real(self, x)
 
     monkeypatch.setattr(Subspace, "project", project)
@@ -350,6 +353,42 @@ def test_lifted_walks_skip_the_dense_bases_of_C_and_D(monkeypatch):
     assert pierra_lift_residual(model, starts, range(6)) <= 1e-10
     traces = product_alternating_traces(model, starts, 5)
     assert max(t.max_violation() for t in traces) <= 1e-10
+
+
+def test_dense_C_is_the_block_diagonal_of_the_members_bases():
+    # The test-only dense C is built from the model's blocks, which are the
+    # members' bases; a member {0} contributes rows but no columns.
+    rng = np.random.default_rng(9)
+    subs = random_family(rng, 3, 5, [2, 0, 4])
+    Z = [np.zeros((5, d)) for d in (2, 0, 4)]
+    expected = np.block([[subs[0].basis, Z[1], Z[2]], [Z[0], subs[1].basis, Z[2]], [Z[0], Z[1], subs[2].basis]])
+    assert np.array_equal(dense_C(build_product(subs)).basis, expected)
+
+
+# Sum of the member dimensions at most n (C is the thinner side of C
+# intersect D's SVD) and past it (D is), each with a planted common part.
+@pytest.mark.parametrize("n, dims, m", [(12, [4, 3, 3], 1), (8, [6, 6, 6], 2)])
+def test_the_only_subspace_of_the_product_space_is_C_intersect_D(monkeypatch, n, dims, m):
+    # C is its diagonal blocks: building the model, cos(C, D), the chain,
+    # the Pierra check and the lifted traces construct no Subspace of
+    # R^(nr) other than C intersect D (and the trivial one it starts from).
+    rng = np.random.default_rng(n)
+    common = rng.standard_normal((n, m))
+    subs = [Subspace.from_spanning(np.hstack([common, rng.standard_normal((n, d - m))])) for d in dims]
+    made, real = [], Subspace.__post_init__
+
+    def post_init(self):
+        real(self)
+        made.append(self.basis.shape)
+
+    monkeypatch.setattr(Subspace, "__post_init__", post_init)
+    nr, starts = n * len(dims), [rng.standard_normal(n) for _ in range(2)]
+    model = build_product(subs)
+    assert model.CD.dim == m and cos_CD(model) < 1.0
+    assert chain_residual_profile(model, range(1, 5)).max() <= 1e-10
+    assert pierra_lift_residual(model, starts, range(5)) <= 1e-10
+    assert max(t.max_violation() for t in product_alternating_traces(model, starts, 4)) <= 1e-10
+    assert {shape for shape in made if shape[0] == nr} == {(nr, 0), (nr, m)}
 
 
 def test_lifted_paths_form_no_product_projector(monkeypatch):
@@ -402,7 +441,7 @@ def test_chain_profile_peak_memory():
     # step); one nr x nr matrix would be r = 4 of them.
     rng = np.random.default_rng(0)
     model = build_product(random_family(rng, 4, 150, [50] * 4))
-    nr, n = model.C.ambient_dim, model.family.ambient_dim
+    nr, n = model.CD.ambient_dim, model.family.ambient_dim
     tracemalloc.start()
     try:
         chain_residual_profile(model, range(1, 17))
@@ -430,3 +469,21 @@ def test_product_space_peak_memory_stays_below_a_tenth_of_a_D_basis():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 3000 * 3000 * 8 / 10
+
+
+def test_model_and_angle_peak_below_one_dense_C():
+    # C keeps no dense nr x sum(dim M_i) basis: building the model of five
+    # 50-dimensional members of R^1000 and reading cos(C, D) from its blocks
+    # peak below the 10 MB that one such basis would take (6.5 MB measured,
+    # 20 MB with a dense C).  M, found in R^n, is computed before tracing.
+    rng = np.random.default_rng(0)
+    n, d = 1000, 50
+    fam = subspaces.Family.of(random_family(rng, 5, n, [d] * 5), 2)
+    fam.intersection
+    tracemalloc.start()
+    try:
+        cos_CD(build_product(fam))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 5 * (5 * d) * 8
