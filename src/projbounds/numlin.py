@@ -131,12 +131,14 @@ def null_space(A, cutoff: float | None = None) -> np.ndarray:
 def spectral_norm(A) -> float:
     """Largest singular value of ``A`` (operator 2-norm): s sqrt(lambda_max),
     lambda_max that of the smaller Gram matrix of G = A / s, s = max |A_ij|.
-    The scaling keeps blocks near 1e+-200 in range when squared."""
+    The scaling keeps blocks near 1e+-200 in range when squared; an all-zero
+    block returns 0.0 before any copy, Gram or eigenvalue."""
     M = as_matrix(A)
     if M.shape[0] == 0 or M.shape[1] == 0:
         raise InputError("spectral_norm requires a nonempty matrix")
-    s = float(np.max(np.abs(M)))
-    G = M / (s or 1.0)
+    if not (s := float(np.max(np.abs(M)))):
+        return 0.0
+    G = M / s
     gram = G.T @ G if G.shape[0] >= G.shape[1] else G @ G.T
     return s * float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 

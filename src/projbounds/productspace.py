@@ -5,7 +5,7 @@ cartesian product C = M_1 x ... x M_r (block-diagonal basis) and the
 diagonal D = {(x, ..., x)}.  Alternating projections between C and D
 reproduce the averaged-projector iteration on the base space, and the
 angle between C and D encodes the simultaneous convergence rate.  The
-central identity checked here is the five-link chain
+central identity checked here is the six-member chain
 
     || T^k - P_M ||  =  || T - P_M ||^k
                      =  ( (r-1)/r cos(M_1,...,M_r) + 1/r )^k
@@ -140,15 +140,14 @@ def cos_CD(model: ProductSpaceModel) -> float:
 
 
 def chain_residual_profile(subspaces, k_values) -> np.ndarray:
-    """Adjacent chain residuals for several exponents at once.
+    """The six chain members for several exponents at once.
 
-    Row j holds the five absolute adjacent differences of the chain
-    members at the j-th exponent of ``k_values``: shape (5,) for one
-    integer k, (len(k_values), 5) for a list, rows in its order.  The
-    members are ||T^k - P_M||, ||T - P_M||^k, the Friedrichs-formula rate
-    q^k, the product-space angle cos(C, D)^(2k), ||P_D P_C P_D - P_CD||^k
-    and ||(P_D P_C P_D)^k - P_CD||; the second and fifth are the k = 1
-    values of the first's and sixth's walks to the k.
+    Row j holds, at the j-th exponent of ``k_values``, ||T^k - P_M||,
+    ||T - P_M||^k, the Friedrichs-formula rate q^k, the product-space angle
+    cos(C, D)^(2k), ||P_D P_C P_D - P_CD||^k and ||(P_D P_C P_D)^k - P_CD||:
+    shape (6,) for one integer k, (len(k_values), 6) for a list, rows in its
+    order.  The second and fifth are the k = 1 values of the first's and
+    sixth's walks to the k; ``checks.residual`` compares adjacent members.
     Members 1 and 2 walk S = :attr:`Family.reduced_span`, a basis of the
     sum of the M_i' = M_i intersect M-perp, through T applied by the
     members' bases (:meth:`methods.IterOperator.step`): T^k - P_M is
@@ -169,10 +168,8 @@ def chain_residual_profile(subspaces, k_values) -> np.ndarray:
     model = subspaces if isinstance(subspaces, ProductSpaceModel) else None
     fam = model.family if model else Family.of(subspaces, 2)
     if fam.degenerate:
-        raise DegenerateError(
-            "every subspace equals the intersection: all six chain members "
-            "are identically zero and the chain holds trivially"
-        )
+        raise DegenerateError("every subspace equals the intersection: all six chain members "
+                              "are identically zero and the chain holds trivially")
     S = fam.reduced_span
     P_M_S, walk = fam.intersection.project(S), orbit(simultaneous_operator(fam).step, S)
     base = sweep(walked, lambda TkS: symmetric_norm(S.T @ (TkS - P_M_S)), walk)
@@ -183,11 +180,9 @@ def chain_residual_profile(subspaces, k_values) -> np.ndarray:
     anchor, walk = model.limit(start), orbit(model.step, start)
     del start  # the walk frees its start block at its first step
     prod = sweep(walked, lambda Z: spectral_norm(Z - anchor), walk)
-    rows = [
-        np.abs(np.diff([base[k], base[1] ** k, q**k, c_prod ** (2 * k), prod[1] ** k, prod[k]]))
-        for k in ks.reshape(-1).tolist()
-    ]
-    return np.array(rows).reshape(ks.shape + (5,))
+    each_k = ks.reshape(-1).tolist()
+    rows = [[base[k], base[1] ** k, q**k, c_prod ** (2 * k), prod[1] ** k, prod[k]] for k in each_k]
+    return np.array(rows).reshape(ks.shape + (6,))
 
 
 def pierra_lift_residual(subspaces, starts, k_values) -> float:

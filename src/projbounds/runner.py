@@ -26,7 +26,7 @@ from .angles import (
     friedrichs_gram,
     optimal_rate,
 )
-from .checks import CHECKS, CheckInputs, suite_checks
+from .checks import CHECKS, CheckInputs, residual, suite_checks
 from .errors import InfeasibleError, InputError
 from .methods import IterationTrace, cyclic_operator, iterate, simultaneous_operator
 from .numlin import RANK_ABSOLUTE_FLOOR, RANK_RELATIVE_EPS
@@ -151,8 +151,8 @@ def run_scenario(s: Scenario) -> Report:
 
     for name in s.checks:
         tol = DEFAULT_TOLERANCES[name]
-        residual, note = CHECKS[name].fn(inputs)
-        report.check_outcomes.append(CheckOutcome(name, residual <= tol, residual, tol, note))
+        value, note = residual(name, inputs)
+        report.check_outcomes.append(CheckOutcome(name, value <= tol, value, tol, note))
     report.chain_residuals = inputs.chain_residuals
     report.wall_time_s = time.perf_counter() - t0
     return report

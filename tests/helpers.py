@@ -177,8 +177,14 @@ def dense_C(model) -> Subspace:
     return Subspace(basis)
 
 
+def chain_gaps(profile) -> np.ndarray:
+    """The five absolute adjacent gaps of the six chain members in each row
+    of ``profile`` (a :func:`chain_residual_profile` result)."""
+    return np.abs(np.diff(profile, axis=-1))
+
+
 def dense_chain_residual_profile(subspaces, k_values) -> np.ndarray:
-    """Test-only oracle: the chain residuals with members 1 and 2 taken
+    """Test-only oracle: the six chain members with members 1 and 2 taken
     from the dense n x n matrices T and P_M, and members 5 and 6 from the
     dense n*r x n*r matrices P_C, P_D, P_CD and P_D P_C P_D; every power
     is np.linalg.matrix_power's, not a walk of the code under test."""
@@ -199,8 +205,8 @@ def dense_chain_residual_profile(subspaces, k_values) -> np.ndarray:
         norm = symmetric_norm(np.linalg.matrix_power(T, k) - P_M)
         prod = symmetric_norm(np.linalg.matrix_power(T_prod, k) - P_CD)
         members = [norm, one_step**k, q**k, c_prod ** (2 * k), prod_one_step**k, prod]
-        rows.append(np.abs(np.diff(members)))
-    return np.array(rows).reshape(ks.shape + (5,))
+        rows.append(members)
+    return np.array(rows).reshape(ks.shape + (6,))
 
 
 def perturbed_family(

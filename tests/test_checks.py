@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from projbounds import InputError, angles, cli, generate_random, generate_two_subspace, subspaces
-from projbounds.checks import CHECKS
+from projbounds.checks import CHECKS, Check, CheckInputs, residual
 from projbounds.runner import DEFAULT_TOLERANCES, _battery_scenario, run_scenario, verify_battery
 from projbounds.scenario import format_scenario
 
@@ -195,3 +195,15 @@ def test_readme_table_matches():
         assert pairs_only == ("yes" if check.pairs_only else "no")
         assert in_analyze == ("no" if check.needs_start else "yes")
         assert needs_start == ("yes" if check.needs_start else "no")
+
+
+@pytest.mark.parametrize("ordered, expected", [(False, 0.5), (True, 0.25)])
+def test_identity_rows_share_one_residual_rule(monkeypatch, ordered, expected):
+    # Equal members: the largest adjacent gap over every k (0.5).  Ordered
+    # members must ascend: the largest excess of one over the next (0.25).
+    members = np.array([[1.0, 1.5, 1.25], [2.0, 2.0, 2.0]])
+    probe = Check(0.0, False, False, lambda run: members, 3, "k=1..{k_max}", ordered)
+    monkeypatch.setitem(CHECKS, "probe", probe)
+    run = CheckInputs(None, 2, [])
+    assert residual("probe", run) == (expected, "k=1..2")
+    assert run.chain_residuals is None

@@ -71,8 +71,9 @@ def test_restricted_error_norms_equal_full_space(seed, shared, build):
 @pytest.mark.parametrize("seed, shared", FAMILIES)
 def test_restricted_chain_matches_dense_oracle(seed, shared):
     subs = small_span_family(seed, shared)
-    gap = chain_residual_profile(subs, KS) - dense_chain_residual_profile(subs, KS)
-    assert np.max(np.abs(gap)) <= 1e-12
+    # member by member: two members off by the same amount leave the gaps alone
+    error = chain_residual_profile(subs, KS) - dense_chain_residual_profile(subs, KS)
+    assert np.max(np.abs(error)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed, shared", FAMILIES)

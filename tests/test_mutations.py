@@ -1,6 +1,7 @@
-"""Mutation gate for the product-space paths and the two sides of the
-lemma identity T^k - P_M = (T - P_M)^k (DeMillo, Lipton & Sayward,
-"Hints on test data selection", Computer 11(4), 1978).
+"""Mutation gate for the product-space paths, the two sides of the
+lemma identity T^k - P_M = (T - P_M)^k and the members of every identity
+check (DeMillo, Lipton & Sayward, "Hints on test data selection",
+Computer 11(4), 1978).
 
 Each row of ``FAULTS`` plants one small fault with ``monkeypatch`` and
 names the checks that must fail on one fixed family because of it; every
@@ -13,8 +14,14 @@ is not {0}, and the scenario iterates in the product space, so
 is planted on every method's runs: the norm chain's degenerate witness
 refutes it, and so do base-space trace bounds, which read the
 operator's rate.
+
+``MEMBER_FAULTS`` is generated from the identity rows of ``checks.CHECKS``:
+each member of an equal row scaled by 1 + 1e-6, and the two sides of an
+ordered row swapped.  Each must fail its own check alone, on this family
+and on a 50-degree pair, where the pairs-only checks run too.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +30,7 @@ import pytest
 from projbounds import checks, methods, productspace, subspaces
 from projbounds.productspace import ProductSpaceModel, lift_diag
 from projbounds.runner import run_scenario
-from projbounds.scenario import Scenario
+from projbounds.scenario import Scenario, generate_two_subspace
 from projbounds.subspaces import Family, Subspace
 from helpers import dense_C
 
@@ -38,10 +45,20 @@ def scenario(method="product_alternating"):
     return replace(gate, random_starts=4)
 
 
-def failed_checks(method="product_alternating"):
-    report = run_scenario(scenario(method))
+def pair_scenario():
+    """A 50-degree pair of R^8 sharing a plane, so that the pairs-only
+    checks run too."""
+    return replace(generate_two_subspace(50.0, 8, 2, 3, k_max=8), random_starts=4)
+
+
+def failures(s):
+    report = run_scenario(s)
     assert report.error is None
     return {c.name for c in report.check_outcomes if not c.passed}
+
+
+def failed_checks(method="product_alternating"):
+    return failures(scenario(method))
 
 
 def patch_product(monkeypatch, change):
@@ -160,12 +177,6 @@ def targets_from_first_start(monkeypatch):
     monkeypatch.setattr(methods, "error_profile", error_profile)
 
 
-def scaled(monkeypatch, name):
-    """``productspace.<name>`` returns its value times 1 + 1e-6."""
-    real = getattr(productspace, name)
-    monkeypatch.setattr(productspace, name, lambda *args: real(*args) * (1 + 1e-6))
-
-
 FAULTS = {
     # The faulty model keeps the real C intersect D, which its C no longer
     # holds, so cos(C, D) read from it falls short and so do the lifted
@@ -190,12 +201,6 @@ FAULTS = {
         ),
         {"pierra_lift"},
     ),
-    "chain members 1 and 2: symmetric norm scaled": (
-        lambda mp: scaled(mp, "symmetric_norm"),
-        {"norm_chain"},
-    ),
-    "chain member 3: optimal rate scaled": (lambda mp: scaled(mp, "optimal_rate"), {"norm_chain"}),
-    "chain member 4: cos(C, D) scaled": (lambda mp: scaled(mp, "cos_CD"), {"norm_chain"}),
     # The chain walks Q_D times the reduced span, whose columns are orthonormal,
     # through the lifted step; Pierra's walks are of the starts.
     "chain members 5 and 6: walk of D's basis one step ahead": (
@@ -244,6 +249,10 @@ def test_unmutated_code_passes_every_check():
     assert failed_checks() == set()
 
 
+def test_unmutated_code_passes_every_check_on_the_pair():
+    assert failures(pair_scenario()) == set()
+
+
 @pytest.mark.parametrize("fault", FAULTS)
 def test_fault_fails_exactly_its_checks(monkeypatch, fault):
     plant, expected = FAULTS[fault]
@@ -276,3 +285,68 @@ def test_forced_degeneracy_fails_bounds(monkeypatch, method):
     assert failed_checks(method) == set()
     monkeypatch.setattr(Family, "degenerate", True)
     assert failed_checks(method) == FORCED_DEGENERACY_FAILS[method]
+
+
+def plant_members(monkeypatch, name, change):
+    """The member values of identity row ``name`` reach checks.residual as
+    ``change`` makes them."""
+    check = checks.CHECKS[name]
+    monkeypatch.setitem(checks.CHECKS, name, check._replace(fn=lambda run: change(check.fn(run))))
+
+
+def member_faults():
+    """The gate rows generated from the identity rows of ``checks.CHECKS``:
+    each member column of an equal row scaled by 1 + 1e-6, and the two sides
+    of an ordered row swapped; fault name -> (check, change)."""
+    faults = {}
+    for name, check in checks.CHECKS.items():
+        if check.ordered:
+            faults[f"{name}: sides swapped"] = (name, lambda values: values[:, ::-1])
+            continue
+        for j in range(check.members):
+            scale = np.ones(check.members)
+            scale[j] += 1e-6
+            faults[f"{name}: member {j + 1} scaled"] = (name, lambda values, scale=scale: values * scale)
+    return faults
+
+
+MEMBER_FAULTS = member_faults()
+GATE_SCENARIOS = {"gate family": scenario(), "50-degree pair": pair_scenario()}
+
+
+@pytest.mark.parametrize(
+    "fault, where",
+    [
+        (fault, where)
+        for fault, (name, _) in MEMBER_FAULTS.items()
+        for where, s in GATE_SCENARIOS.items()
+        if name in s.checks
+    ],
+)
+def test_member_fault_fails_exactly_its_check(monkeypatch, fault, where):
+    name, change = MEMBER_FAULTS[fault]
+    plant_members(monkeypatch, name, change)
+    assert failures(GATE_SCENARIOS[where]) == {name}
+
+
+def test_every_check_row_has_a_gate_row():
+    # An identity row is covered by its generated rows, one per member it
+    # declares (one for an ordered row), run on the pair, where every check
+    # applies; every other row by a hand-written fault.  A row added without
+    # either fails here.
+    generated = Counter(name for name, _ in MEMBER_FAULTS.values())
+    handwritten = set().union(*(failing for _, failing in FAULTS.values()))
+    for name, check in checks.CHECKS.items():
+        if check.members:
+            assert generated[name] == (1 if check.ordered else check.members), name
+            assert name in GATE_SCENARIOS["50-degree pair"].checks
+        else:
+            assert name in handwritten, name
+
+
+@pytest.mark.parametrize("name", [name for name, check in checks.CHECKS.items() if check.members])
+def test_identity_rows_return_one_column_per_declared_member(name):
+    s = GATE_SCENARIOS["50-degree pair"]
+    family = Family.of([Subspace.from_spanning(spec.spanning) for spec in s.subspaces])
+    values = checks.CHECKS[name].fn(checks.CheckInputs(family, s.k_max, []))
+    assert values.shape == (s.k_max, checks.CHECKS[name].members)

@@ -116,6 +116,15 @@ class TestSpectralNorm:
     def test_zero(self):
         assert spectral_norm(np.zeros((3, 2))) == 0.0
 
+    def test_zero_block_needs_no_eigenvalues(self, monkeypatch):
+        # On an M = {0} family both lemma sides are one product, so every
+        # lemma block is exactly zero: its norm is read off max |A_ij| alone.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("spectral_norm decomposed a zero block")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        assert spectral_norm(np.zeros((5, 3))) == 0.0
+
     def test_nilpotent(self):
         # singular values of [[0,1],[0,0]] are {1, 0}
         assert spectral_norm(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(

@@ -20,6 +20,7 @@ from projbounds import (
 from projbounds import subspaces
 from projbounds.productspace import product_alternating_traces
 from helpers import (
+    chain_gaps,
     dense_C,
     dense_D,
     dense_chain_residual_profile,
@@ -88,7 +89,7 @@ class TestBuildProduct:
         rng = np.random.default_rng(8)
         model = build_product(random_family(rng, 3, 700, [2, 2, 2]))
         assert model.CD.ambient_dim == 2100
-        assert chain_residual_profile(model, 1).max() <= 1e-8
+        assert chain_gaps(chain_residual_profile(model, 1)).max() <= 1e-8
 
 
 class TestLiftDiag:
@@ -149,26 +150,26 @@ class TestCosCD:
 
 class TestNormChain:
     def test_lines_at_60_k2(self):
-        residuals = chain_residual_profile(lines_exact_60(), 2)
-        assert residuals.shape == (5,)
-        assert residuals.max() <= 1e-10
+        members = chain_residual_profile(lines_exact_60(), 2)
+        assert members.shape == (6,)
         # all six members equal 0.75^2
+        assert np.max(np.abs(members - 0.5625)) <= 1e-10
         T = simultaneous_operator(lines_exact_60())
         A, P_M = dense_operator(T)
         value = spectral_norm(np.linalg.matrix_power(A, 2) - P_M)
         assert value == pytest.approx(0.5625, abs=1e-12)
 
     def test_triple_at_120_k3(self):
-        residuals = chain_residual_profile(triple_at_120(), 3)
-        assert residuals.max() <= 1e-10
+        members = chain_residual_profile(triple_at_120(), 3)
+        assert np.max(np.abs(members - 0.125)) <= 1e-10
         T = simultaneous_operator(triple_at_120())
         A, P_M = dense_operator(T)
         value = spectral_norm(np.linalg.matrix_power(A, 3) - P_M)
         assert value == pytest.approx(0.125, abs=1e-12)
 
     def test_orthogonal_axes_k1(self):
-        residuals = chain_residual_profile(orthogonal_axes(), 1)
-        assert residuals.max() <= 1e-12
+        members = chain_residual_profile(orthogonal_axes(), 1)
+        assert np.max(np.abs(members - 0.5)) <= 1e-12
         T = simultaneous_operator(orthogonal_axes())
         assert spectral_norm(dense_error_operator(T)) == pytest.approx(
             0.5, abs=1e-14
@@ -191,8 +192,8 @@ class TestNormChain:
         if friedrichs_gram(subs).degenerate:
             return
         profile = chain_residual_profile(subs, range(1, 11))
-        for k, residuals in zip(range(1, 11), profile):
-            assert residuals.max() <= 1e-8, f"k={k}"
+        for k, gaps in zip(range(1, 11), chain_gaps(profile)):
+            assert gaps.max() <= 1e-8, f"k={k}"
 
 
 def shared_part_family(rng):
@@ -212,8 +213,9 @@ def shared_part_family(rng):
 def test_chain_matches_dense_oracle(seed):
     subs = shared_part_family(np.random.default_rng(800 + seed))
     ks = range(1, 13)
-    gap = chain_residual_profile(subs, ks) - dense_chain_residual_profile(subs, ks)
-    assert np.max(np.abs(gap)) <= 1e-12
+    # member by member: two members off by the same amount leave the gaps alone
+    error = chain_residual_profile(subs, ks) - dense_chain_residual_profile(subs, ks)
+    assert np.max(np.abs(error)) <= 1e-12
 
 
 class TestPierraLift:
@@ -265,13 +267,13 @@ class TestExponentLists:
     def test_chain_rows_follow_the_exponents(self):
         subs = triple_at_120()
         profile = chain_residual_profile(subs, [3, 1, 3])
-        assert profile.shape == (3, 5)
+        assert profile.shape == (3, 6)
         for row, k in zip(profile, [3, 1, 3]):
             assert np.array_equal(row, chain_residual_profile(subs, k))
 
     def test_numpy_integers_accepted(self):
         subs = lines_exact_60()
-        assert chain_residual_profile(subs, np.arange(1, 4)).shape == (3, 5)
+        assert chain_residual_profile(subs, np.arange(1, 4)).shape == (3, 6)
         assert pierra_lift_residual(subs, [np.array([1.0, 0.0])], np.arange(4)) <= 1e-10
 
 
@@ -349,7 +351,7 @@ def test_lifted_walks_skip_the_dense_bases_of_C_and_D(monkeypatch):
 
     monkeypatch.setattr(Subspace, "project", project)
     starts = [rng.standard_normal(n) for _ in range(3)]
-    assert chain_residual_profile(model, range(1, 6)).max() <= 1e-10
+    assert chain_gaps(chain_residual_profile(model, range(1, 6))).max() <= 1e-10
     assert pierra_lift_residual(model, starts, range(6)) <= 1e-10
     traces = product_alternating_traces(model, starts, 5)
     assert max(t.max_violation() for t in traces) <= 1e-10
@@ -385,7 +387,7 @@ def test_the_only_subspace_of_the_product_space_is_C_intersect_D(monkeypatch, n,
     nr, starts = n * len(dims), [rng.standard_normal(n) for _ in range(2)]
     model = build_product(subs)
     assert model.CD.dim == m and cos_CD(model) < 1.0
-    assert chain_residual_profile(model, range(1, 5)).max() <= 1e-10
+    assert chain_gaps(chain_residual_profile(model, range(1, 5))).max() <= 1e-10
     assert pierra_lift_residual(model, starts, range(5)) <= 1e-10
     assert max(t.max_violation() for t in product_alternating_traces(model, starts, 4)) <= 1e-10
     assert {shape for shape in made if shape[0] == nr} == {(nr, 0), (nr, m)}
@@ -406,7 +408,7 @@ def test_lifted_paths_form_no_product_projector(monkeypatch):
     assert pierra_lift_residual(model, starts, range(6)) <= 1e-10
     traces = product_alternating_traces(model, starts, 5)
     assert max(t.max_violation() for t in traces) <= 1e-10
-    assert chain_residual_profile(model, range(1, 6)).max() <= 1e-10
+    assert chain_gaps(chain_residual_profile(model, range(1, 6))).max() <= 1e-10
 
 
 def test_product_space_decides_no_shared_part(monkeypatch):
@@ -428,7 +430,7 @@ def test_product_space_decides_no_shared_part(monkeypatch):
     starts = [rng.standard_normal(8)]
     assert pierra_lift_residual(model, starts, range(4)) <= 1e-10
     assert max(t.max_violation() for t in product_alternating_traces(model, starts, 3)) <= 1e-10
-    assert chain_residual_profile(model, range(1, 4)).max() <= 1e-10
+    assert chain_gaps(chain_residual_profile(model, range(1, 4))).max() <= 1e-10
     assert model.CD.dim == model.family.intersection.dim == 2
     assert set(ambient) == {8}
 
