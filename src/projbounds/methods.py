@@ -292,10 +292,14 @@ def verify_error_identity(T: IterOperator, k):
     """Residual || (T^k - P_M) - (T - P_M)^k || with independent sides.
 
     Both sides vanish outside ``T.domain``, so both walk its basis Q: the left
-    side through T, minus P_M Q; the right through T - P_M.  Agreement is evidence
-    for absorption, not a tautology; on M, :meth:`Subspace.contains` decides it.
+    side through T, minus P_M Q; the right through T - P_M.  Where dim M > 0,
+    agreement is evidence for absorption, not a tautology; on M,
+    :meth:`Subspace.contains` decides it.  Where M = {0}, P_M = 0 and both
+    sides are the one product T^k Q: the residual is 0.0 and nothing is walked.
     """
     ks = exponents(k)
+    if not T.family.intersection.dim:
+        return _per_k(ks, lambda k: 0.0)
     Q = T.domain
     PQ, walks = T.family.intersection.project(Q), (orbit(T.step, Q), orbit(_error_step(T), Q))
     residuals = sweep(ks, lambda TkQ, EkQ: _block_norm((TkQ - PQ) - EkQ), *walks)

@@ -130,11 +130,14 @@ def cos_CD(model: ProductSpaceModel) -> float:
     """cos(C, D) = ||P_C P_D - P_CD|| (Deutsch 2001, ch. 9) inside R^(n*r): as C
     intersect D lies in both, ||Q_C^T Q_D - (Q_C^T Q_CD)(Q_CD^T Q_D)||, read
     from C's diagonal blocks: Q_D^T Q_C = [C_1 ... C_r]/sqrt(r), and
-    Q_C^T Q_CD stacks the C_i^T (Q_CD)_i."""
+    Q_C^T Q_CD stacks the C_i^T (Q_CD)_i.  Where C intersect D = {0} (M = {0}),
+    P_CD = 0 and the angle is ||Q_C^T Q_D||, with nothing formed to subtract."""
     n, CD = model.family.ambient_dim, model.CD.basis
     A = np.hstack(model.C_blocks) / np.sqrt(len(model.family))
     if model.CD.dim in (A.shape[1], n):
         return 0.0  # C in D or D in C: no angle, as on a degenerate family
+    if not model.CD.dim:
+        return spectral_norm(A.T)
     C_CD = np.vstack([C_i.T @ CD[i * n : (i + 1) * n] for i, C_i in enumerate(model.C_blocks)])
     return spectral_norm(A.T - C_CD @ model.diag_coords(CD).T)
 
@@ -158,6 +161,8 @@ def chain_residual_profile(subspaces, k_values) -> np.ndarray:
     vanishes on C intersect D (in D) and on the lift of (M_1 + ... +
     M_r)-perp, so ||A_k|| is the largest singular value of (P_D P_C)^k B -
     P_CD B (the walk starts in D, where P_D P_C is the sandwiched operator).
+    Where M = {0}, P_M S and P_CD B are zero blocks, not formed or subtracted:
+    members 1 and 6 are the norms of S^T T^k S and (P_D P_C)^k B.
     ``subspaces`` may be a model from :func:`build_product`; a degenerate
     family (:attr:`Family.degenerate`) raises DegenerateError before any
     product space is built.  ``k_values`` is one integer >= 1 or a nonempty 1-d
@@ -170,16 +175,16 @@ def chain_residual_profile(subspaces, k_values) -> np.ndarray:
     if fam.degenerate:
         raise DegenerateError("every subspace equals the intersection: all six chain members "
                               "are identically zero and the chain holds trivially")
-    S = fam.reduced_span
-    P_M_S, walk = fam.intersection.project(S), orbit(simultaneous_operator(fam).step, S)
-    base = sweep(walked, lambda TkS: symmetric_norm(S.T @ (TkS - P_M_S)), walk)
+    S, m = fam.reduced_span, fam.intersection.dim
+    P_M_S, walk = fam.intersection.project(S) if m else None, orbit(simultaneous_operator(fam).step, S)
+    base = sweep(walked, lambda TkS: symmetric_norm(S.T @ (TkS - P_M_S if m else TkS)), walk)
     q = optimal_rate(friedrichs_gram(fam), len(fam))
     model = model or build_product(fam)
     c_prod = cos_CD(model)
     start = lift_diag(model, S) / np.sqrt(len(fam))
-    anchor, walk = model.limit(start), orbit(model.step, start)
+    anchor, walk = model.limit(start) if m else None, orbit(model.step, start)
     del start  # the walk frees its start block at its first step
-    prod = sweep(walked, lambda Z: spectral_norm(Z - anchor), walk)
+    prod = sweep(walked, lambda Z: spectral_norm(Z - anchor if m else Z), walk)
     each_k = ks.reshape(-1).tolist()
     rows = [[base[k], base[1] ** k, q**k, c_prod ** (2 * k), prod[1] ** k, prod[k]] for k in each_k]
     return np.array(rows).reshape(ks.shape + (6,))

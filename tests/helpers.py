@@ -45,6 +45,14 @@ def random_family(rng: np.random.Generator, r: int, n: int, dims=None):
     return [random_subspace(rng, n, d) for d in dims]
 
 
+def gate_spans(n: int = 6) -> list[np.ndarray]:
+    """Spanning sets of the mutation gate's family: three members of R^n,
+    each one shared random direction plus 2, 3 and 2 of its own, so dim M = 1."""
+    rng = np.random.default_rng(2024)
+    common = rng.standard_normal((n, 1))
+    return [np.hstack([common, rng.standard_normal((n, d))]) for d in (2, 3, 2)]
+
+
 def lines_at(theta_deg: float):
     """Two lines through the origin of R^2 meeting at the given angle."""
     t = np.deg2rad(theta_deg)

@@ -23,10 +23,12 @@ from projbounds.methods import KIND_CYCLIC, KIND_SIMULTANEOUS, orbit, sweep
 from helpers import (
     dense_error_operator,
     dense_operator,
+    gate_spans,
     k_indexed_calls,
     lines_exact_60,
     near_pair,
     orthogonal_axes,
+    perturbed_family,
     random_family,
     triple_at_120,
 )
@@ -377,6 +379,69 @@ class TestVerifyErrorIdentity:
         for T in (simultaneous_operator(subs), cyclic_operator(subs)):
             for k in (1, 2, 6, 13, 20):
                 assert verify_error_identity(T, k) <= 1e-9
+
+
+def trivial_M_family(n, dims):
+    subs = random_family(np.random.default_rng(sum(dims)), len(dims), n, dims)
+    assert Family.of(subs).intersection.dim == 0
+    return subs
+
+
+# sum(dim M_i) below, at and above n, each family with M = {0}
+TRIVIAL_M = {"sum<n": (10, [2, 3, 3]), "sum=n": (10, [3, 3, 4]), "sum>n": (10, [4, 4, 4])}
+
+
+def both_walks(T, k):
+    """The lemma residual at k from both sides' walks, each step through
+    T.step: (T^k Q - P_M Q) - (T - P_M)^k Q."""
+    Q, M = T.domain, T.family.intersection.basis
+    left = right = Q
+    for _ in range(k):
+        left, right = T.step(left), T.step(right) - M @ (M.T @ right)
+    return spectral_norm((left - M @ (M.T @ Q)) - right)
+
+
+class TestErrorIdentityOnTrivialM:
+    """On M = {0}, P_M = 0 and both sides of the lemma are one product, so
+    verify_error_identity answers 0.0 without walking; the shortcut must
+    not reach a family with dim M > 0, where the sides differ."""
+
+    @pytest.mark.parametrize("kind", [KIND_SIMULTANEOUS, KIND_CYCLIC])
+    @pytest.mark.parametrize("shape", TRIVIAL_M)
+    def test_exact_zeros_without_a_step(self, monkeypatch, shape, kind):
+        T = IterOperator(Family.of(trivial_M_family(*TRIVIAL_M[shape])), kind)
+
+        def step(self, X):
+            raise AssertionError("the lemma walked T on M = {0}")
+
+        monkeypatch.setattr(IterOperator, "step", step)
+        value = verify_error_identity(T, 5)
+        assert value == 0.0 and type(value) is float
+        assert verify_error_identity(T, [1, 16, 3]).tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("kind", [KIND_SIMULTANEOUS, KIND_CYCLIC])
+    @pytest.mark.parametrize("shape", TRIVIAL_M)
+    def test_dense_oracle_agrees(self, shape, kind):
+        T = IterOperator(Family.of(trivial_M_family(*TRIVIAL_M[shape])), kind)
+        A, P_M = dense_operator(T)
+        for k in range(1, 17):
+            gap = (np.linalg.matrix_power(A, k) - P_M) - np.linalg.matrix_power(A - P_M, k)
+            assert spectral_norm(gap) <= 1e-13
+
+    @pytest.mark.parametrize("kind", [KIND_SIMULTANEOUS, KIND_CYCLIC])
+    @pytest.mark.parametrize("family", ["gate", "planted"])
+    def test_common_part_still_walks_both_sides(self, monkeypatch, family, kind):
+        if family == "gate":
+            subs = [Subspace.from_spanning(A) for A in gate_spans()]
+        else:
+            subs = perturbed_family(np.random.default_rng(7), 3, 12, 2, 0.0)
+        T = IterOperator(Family.of(subs), kind)
+        assert T.family.intersection.dim == (1 if family == "gate" else 2)
+        expected = [both_walks(T, k) for k in (1, 4, 9)]
+        steps, real = [], IterOperator.step
+        monkeypatch.setattr(IterOperator, "step", lambda self, X: steps.append(1) or real(self, X))
+        assert verify_error_identity(T, [1, 4, 9]).tolist() == expected
+        assert len(steps) == 2 * 9
 
 
 class TestCompareMethods:

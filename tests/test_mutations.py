@@ -32,16 +32,13 @@ from projbounds.productspace import ProductSpaceModel, lift_diag
 from projbounds.runner import run_scenario
 from projbounds.scenario import Scenario, generate_two_subspace
 from projbounds.subspaces import Family, Subspace
-from helpers import dense_C
+from helpers import dense_C, gate_spans
 
 N = 6
 
 
 def scenario(method="product_alternating"):
-    rng = np.random.default_rng(2024)
-    common = rng.standard_normal((N, 1))
-    spans = [np.hstack([common, rng.standard_normal((N, d))]) for d in (2, 3, 2)]
-    gate = Scenario.generated("mutation-gate", N, spans, 7, k_max=8, method=method)
+    gate = Scenario.generated("mutation-gate", N, gate_spans(N), 7, k_max=8, method=method)
     return replace(gate, random_starts=4)
 
 
