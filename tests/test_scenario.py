@@ -13,7 +13,8 @@ from projbounds import (
     generate_two_subspace,
     parse_scenario,
 )
-from projbounds.scenario import Scenario
+from projbounds.checks import CHECKS
+from projbounds.scenario import Scenario, SubspaceSpec, validate_scenario
 
 MINIMAL = """\
 projscenario v1
@@ -226,3 +227,80 @@ class TestGenerators:
             generate_random(2, 5, [2, 6], seed=0)
         with pytest.raises(InputError):
             generate_random(2, 5, [2], seed=0)
+
+
+HEAD = "projscenario v1\nambient_dim: 2\n"
+# Two lines of R^2 on lines 3-8 after HEAD; an appended line is line 9.
+PAIR = "subspace:\nspan:\n1 0\nsubspace:\nspan:\n0 1\n"
+AFFINE_PAIR = "mode: affine\nsubspace:\nspan:\n1 0\nanchor: 0 1\nsubspace:\nspan:\n0 1\nanchor: 2 0\n"
+
+
+def _spec(rows, line=0):
+    return SubspaceSpec(spanning=np.zeros((rows, 1)), line=line)
+
+
+# Every message scenario input can fail with, exactly, ``line N:`` included.
+ERRORS = [
+    ("", "empty document; expected header 'projscenario v1'"),
+    ("# only a comment\n\n", "empty document; expected header 'projscenario v1'"),
+    ("name: x\n", "line 1: expected header 'projscenario v1', got 'name: x'"),
+    ("\n# c\nprojscenario v2\n", "line 3: expected header 'projscenario v1', got 'projscenario v2'"),
+    ("projscenario v1\nname: x\n", "ambient_dim is required"),
+    (HEAD + "subspace: 1\n", "line 3: subspace takes no inline value"),
+    (HEAD + "span:\n", "line 3: span outside a subspace block"),
+    (HEAD + "subspace:\nspan: 1 0\n", "line 4: span takes no inline value; rows follow on their own lines"),
+    (HEAD + "anchor: 0 0\n", "line 3: anchor outside a subspace block"),
+    (HEAD + PAIR + "starts: 1 1\n", "line 9: starts takes no inline value; rows follow on their own lines"),
+    (HEAD + "bogus: 3\n", "line 3: unknown key 'bogus'"),
+    (HEAD + "1 0\n", "line 3: numeric row outside a span/starts block"),
+    (HEAD + "subspace:\n1 0\n", "line 4: numeric row outside a span/starts block"),
+    (HEAD + PAIR + "seed: 1\n1 0\n", "line 10: numeric row outside a span/starts block"),
+    ("projscenario v1\nsubspace:\nspan:\n1 0\n", "line 4: ambient_dim must be declared before vector rows"),
+    (HEAD + "subspace:\nspan:\n1 0 0\n", "line 5: span row has length 3, expected ambient_dim 2"),
+    (HEAD + PAIR + "starts:\n1\n", "line 10: starts row has length 1, expected ambient_dim 2"),
+    (HEAD + "subspace:\nspan:\n1 0\nsubspace:\nsubspace:\nspan:\n0 1\n", "line 6: subspace 2 has no span block"),
+    (HEAD + "k_max: ten\n", "line 3: k_max expects an integer, got 'ten'"),
+    ("projscenario v1\nambient_dim: 2.5\n", "line 2: ambient_dim expects an integer, got '2.5'"),
+    (HEAD + "name:\n", "line 3: name expects a value"),
+    (HEAD + "mode:   # unset\n", "line 3: mode expects a value"),
+    (HEAD + "subspace:\nspan:\n1 x\n", "line 5: expected a numeric row, got '1 x'"),
+    (HEAD + "subspace:\nspan:\nto do\n", "line 5: expected a numeric row, got 'to do'"),
+    (HEAD + "subspace:\nspan:\n1 inf\n", "line 5: numeric rows must be finite"),
+    (HEAD + "subspace:\nanchor: 0 y\n", "line 4: expected a numeric row, got '0 y'"),
+    (HEAD + PAIR + "seed: -1\n", "seed must be nonnegative, got -1"),
+    ("projscenario v1\nambient_dim: 0\nsubspace:\nspan:\nsubspace:\nspan:\n", "ambient_dim must be at least 1"),
+    (HEAD + PAIR + "mode: spiral\n", "mode must be one of ('linear', 'affine'), got 'spiral'"),
+    (HEAD + PAIR + "method: newton\n",
+     "method must be one of ('simultaneous', 'cyclic', 'product_alternating'), got 'newton'"),
+    (HEAD + PAIR + "k_max: 0\n", "k_max must be at least 1"),
+    (HEAD + PAIR + "random_starts: -1\n", "random_starts must be nonnegative"),
+    (HEAD + "subspace:\nspan:\n1 0\n", "at least two subspaces are required, got 1"),
+    (HEAD + "mode: affine\n" + PAIR, "line 4: anchor required for affine mode (subspace 1)"),
+    (HEAD + AFFINE_PAIR.replace("anchor: 2 0", "anchor: 2 0 0"), "line 8: subspace 2 anchor must have length 2"),
+    (HEAD + "subspace:\nspan:\n1 0\nanchor: 0 0\nsubspace:\nspan:\n0 1\n",
+     "line 3: anchor only allowed in affine mode (subspace 1)"),
+    (HEAD + PAIR + "checks: norm_chain sparkle\n",
+     f"unknown check 'sparkle'; valid checks: {' '.join(CHECKS)}"),
+    (HEAD + PAIR + "subspace:\nspan:\n1 1\nchecks: kw\n", "check 'kw' requires exactly two subspaces"),
+    (HEAD + PAIR + "checks: bounds\n", "check 'bounds' requires at least one start"),
+    (HEAD + "method: product_alternating\n" + AFFINE_PAIR,
+     "method product_alternating requires linear mode"),
+    (Scenario(ambient_dim=2, subspaces=[_spec(3), _spec(2)]), "subspace 1 spanning rows must have length 2"),
+    (Scenario(ambient_dim=2, subspaces=[_spec(2), _spec(1, line=7)]),
+     "line 7: subspace 2 spanning rows must have length 2"),
+    (Scenario(ambient_dim=2, subspaces=[_spec(2), SubspaceSpec(spanning=np.zeros(2))]),
+     "subspace 2 spanning rows must have length 2"),
+    (Scenario(ambient_dim=2, subspaces=[_spec(2), _spec(2)], starts=[np.zeros(2), np.zeros(3)]),
+     "start 2 must have length 2"),
+]
+
+
+class TestErrorMessages:
+    @pytest.mark.parametrize("source, message", ERRORS, ids=[message for _, message in ERRORS])
+    def test_exact_message(self, source, message):
+        with pytest.raises(InputError) as excinfo:
+            if isinstance(source, Scenario):
+                validate_scenario(source)
+            else:
+                parse_scenario(source)
+        assert str(excinfo.value) == message
