@@ -216,88 +216,65 @@ def parse_scenario(source) -> Scenario:
     a str is always text, never a path.
     """
     text = source.read_text() if isinstance(source, Path) else str(source)
+    lines = ((lineno, raw.split("#", 1)[0].strip()) for lineno, raw in enumerate(text.splitlines(), 1))
+    lines = ((lineno, line) for lineno, line in lines if line)
+    lineno, line = next(lines, (None, None))
+    if line is None:
+        _fail(None, f"empty document; expected header {HEADER!r}")
+    if line != HEADER:
+        _fail(lineno, f"expected header {HEADER!r}, got {line!r}")
 
     fields: dict = {}
-    subspecs: list[dict] = []
-    starts: list[tuple[int, list[float]]] = []
-    collector: list | None = None
-    collector_kind = ""
-    current: dict | None = None
-    header_seen = False
-
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not header_seen:
-            if line != HEADER:
-                _fail(lineno, f"expected header {HEADER!r}, got {line!r}")
-            header_seen = True
-            continue
+    blocks: list[dict] = []
+    starts: list[list[float]] = []
+    block: dict | None = None  # the open subspace block
+    rows: list | None = None  # the open span or starts rows
+    for lineno, line in lines:
         m = _KEY_RE.match(line)
-        if m and (m.group(1) in _SCALAR_KEYS or m.group(1) in ("subspace", "span", "anchor", "starts")):
-            key, value = m.group(1), m.group(2).strip()
-            if key in _SCALAR_KEYS:
-                current = None
-                collector = None
-                fields[key] = _SCALAR_KEYS[key](value, key, lineno)
-            elif key == "subspace":
-                if value:
-                    _fail(lineno, "subspace takes no inline value")
-                current = {"line": lineno, "span": None, "anchor": None}
-                subspecs.append(current)
-                collector = None
-            elif key == "span":
-                if current is None:
-                    _fail(lineno, "span outside a subspace block")
-                if value:
-                    _fail(lineno, "span takes no inline value; rows follow on their own lines")
-                current["span"] = []
-                collector = current["span"]
-                collector_kind = "span"
-            elif key == "anchor":
-                if current is None:
-                    _fail(lineno, "anchor outside a subspace block")
-                current["anchor"] = _parse_row(value, lineno)
-            elif key == "starts":
-                if value:
-                    _fail(lineno, "starts takes no inline value; rows follow on their own lines")
-                current = None
-                collector = starts
-                collector_kind = "starts"
+        key, value = (m.group(1), m.group(2).strip()) if m else (None, line)
+        if key in _SCALAR_KEYS:
+            fields[key] = _SCALAR_KEYS[key](value, key, lineno)
+            block = rows = None
+        elif key == "subspace":
+            if value:
+                _fail(lineno, "subspace takes no inline value")
+            block = {"line": lineno, "span": None, "anchor": None}
+            blocks.append(block)
+            rows = None
+        elif key in ("span", "anchor") and block is None:
+            _fail(lineno, f"{key} outside a subspace block")
+        elif key == "anchor":
+            block["anchor"] = np.array(_parse_row(value, lineno), dtype=float)
+        elif key in ("span", "starts"):
+            if value:
+                _fail(lineno, f"{key} takes no inline value; rows follow on their own lines")
+            if key == "span":
+                rows = block["span"] = []
+            else:
+                block = None
+                rows = starts
         elif m:
-            _fail(lineno, f"unknown key {m.group(1)!r}")
+            _fail(lineno, f"unknown key {key!r}")
         else:
             row = _parse_row(line, lineno)
-            if collector is None:
+            if rows is None:
                 _fail(lineno, "numeric row outside a span/starts block")
             if "ambient_dim" not in fields:
                 _fail(lineno, "ambient_dim must be declared before vector rows")
             if len(row) != fields["ambient_dim"]:
-                _fail(
-                    lineno,
-                    f"{collector_kind} row has length {len(row)}, "
-                    f"expected ambient_dim {fields['ambient_dim']}",
-                )
-            collector.append((lineno, row))
+                _fail(lineno, f"{'starts' if rows is starts else 'span'} row has length {len(row)}, "
+                              f"expected ambient_dim {fields['ambient_dim']}")
+            rows.append(row)
 
-    if not header_seen:
-        _fail(None, f"empty document; expected header {HEADER!r}")
     if "ambient_dim" not in fields:
         _fail(None, "ambient_dim is required")
-
-    n = fields["ambient_dim"]
     specs = []
-    for i, sub in enumerate(subspecs, 1):
+    for i, sub in enumerate(blocks, 1):
         if sub["span"] is None:
             _fail(sub["line"], f"subspace {i} has no span block")
-        rows = [row for _, row in sub["span"]]
-        spanning = np.array(rows, dtype=float).T if rows else np.zeros((n, 0))
-        anchor = np.array(sub["anchor"], dtype=float) if sub["anchor"] is not None else None
-        specs.append(SubspaceSpec(spanning=spanning, anchor=anchor, line=sub["line"]))
-
-    scenario = Scenario(subspaces=specs, starts=[np.array(row, dtype=float) for _, row in starts],
-                        **fields)
+        spanning = np.array(sub["span"], dtype=float).T if sub["span"] else np.zeros((fields["ambient_dim"], 0))
+        specs.append(SubspaceSpec(spanning=spanning, anchor=sub["anchor"], line=sub["line"]))
+    scenario = Scenario(subspaces=specs, starts=[np.array(row, dtype=float) for row in starts], **fields)
     validate_scenario(scenario)
     return scenario
 
@@ -309,19 +286,14 @@ def _fmt_row(values) -> str:
 def format_scenario(s: Scenario) -> str:
     """Render a scenario back to document text (parse round-trips exactly)."""
     validate_scenario(s)
-    lines = [
-        HEADER,
-        f"name: {s.name}",
-        f"ambient_dim: {s.ambient_dim}",
-        f"mode: {s.mode}",
-        f"method: {s.method}",
-        f"k_max: {s.k_max}",
-        f"seed: {s.seed}",
-    ]
-    if s.random_starts:
-        lines.append(f"random_starts: {s.random_starts}")
-    if s.checks:
-        lines.append("checks: " + " ".join(s.checks))
+    lines = [HEADER]
+    for key in _SCALAR_KEYS:
+        value = getattr(s, key)
+        if isinstance(value, tuple):
+            value = " ".join(value)
+        # Unset, random_starts and checks are left out: their defaults hold.
+        if value or key not in ("random_starts", "checks"):
+            lines.append(f"{key}: {value}")
     for spec in s.subspaces:
         lines.append("subspace:")
         lines.append("span:")
