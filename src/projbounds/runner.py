@@ -189,10 +189,13 @@ def report_to_dict(rep: Report) -> dict:
 
 def _csv_lines(rep: Report) -> list[str]:
     lines = ["scenario,start_index,k,error,bound,ratio"]
+    name = rep.scenario.name
+    if "," in name or '"' in name:
+        name = '"' + name.replace('"', '""') + '"'  # quoted as RFC 4180 asks
     for index, t in enumerate(rep.traces):
         for k, (err, bnd) in enumerate(zip(t.errors.tolist(), t.bounds.tolist())):
             ratio = "" if bnd == 0.0 else repr(err / bnd)
-            lines.append(f"{rep.scenario.name},{index},{k},{err!r},{bnd!r},{ratio}")
+            lines.append(f"{name},{index},{k},{err!r},{bnd!r},{ratio}")
     return lines
 
 

@@ -178,6 +178,9 @@ def check_seed(seed: int) -> None:
 def validate_scenario(s: Scenario) -> None:
     """Check every scenario invariant; InputError names the failing field."""
     check_seed(s.seed)
+    # The name must survive its name: line, which parsing cuts at '#', strips and splits.
+    if [s.name] != s.name.split("#", 1)[0].strip().splitlines():
+        _fail(None, f"name must be one nonempty line with no '#' and no outer whitespace, got {s.name!r}")
     if s.ambient_dim < 1:
         _fail(None, "ambient_dim must be at least 1")
     if s.mode not in MODES:
@@ -243,6 +246,8 @@ def parse_scenario(source) -> Scenario:
             rows = None
         elif key in ("span", "anchor") and block is None:
             _fail(lineno, f"{key} outside a subspace block")
+        elif key in ("span", "anchor") and block[key] is not None:
+            _fail(lineno, f"second {key} in subspace {len(blocks)}")
         elif key == "anchor":
             block["anchor"] = np.array(_parse_row(value, lineno), dtype=float)
         elif key in ("span", "starts"):

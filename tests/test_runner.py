@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from dataclasses import replace
 
@@ -205,6 +207,17 @@ class TestEmission:
         # the zero operator hits the target at k = 1; bounds are 0 there
         assert rows[1].endswith(",0.0,0.0,")
         assert rows[2].endswith(",0.0,0.0,")
+
+    @pytest.mark.parametrize("name", ["my run, v2", 'say "hi"', 'a,"b"', "plain-name"])
+    def test_csv_carries_any_valid_name_in_one_field(self, name):
+        text = LINES_60.replace("name: two-lines-60", f"name: {name}").replace("k_max: 5", "k_max: 1")
+        out = render_report(run_scenario(parse_scenario(text)), "csv")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["scenario", "start_index", "k", "error", "bound", "ratio"]
+        assert len(rows) == 1 + 3 * 2
+        assert all(len(row) == 6 and row[0] == name for row in rows[1:])
+        if "," not in name and '"' not in name:
+            assert out.splitlines()[1].startswith(name + ",0,0,")
 
     def test_emit_is_byte_stable(self, tmp_path):
         scenario = tmp_path / "lines.scenario"

@@ -1,4 +1,5 @@
 import dataclasses
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,6 +47,12 @@ anchor: 2 0
 starts:
 0 0
 """
+
+HEAD = "projscenario v1\nambient_dim: 2\n"
+# Two lines of R^2 on lines 3-8 after HEAD; an appended line is line 9.
+PAIR = "subspace:\nspan:\n1 0\nsubspace:\nspan:\n0 1\n"
+SECOND_AFFINE = "subspace:\nspan:\n0 1\nanchor: 2 0\n"
+AFFINE_PAIR = "mode: affine\nsubspace:\nspan:\n1 0\nanchor: 0 1\n" + SECOND_AFFINE
 
 
 class TestParse:
@@ -132,6 +139,30 @@ class TestParse:
         with pytest.raises(InputError, match="ambient_dim"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("repeat", ["span:\n0 1\n", "anchor: 0 2\n"])
+    def test_second_span_or_anchor_in_one_block_names_its_line(self, repeat):
+        # A subspace: forgotten between two spans must not merge them into one subspace.
+        text = HEAD + "mode: affine\nsubspace:\nspan:\n1 0\nanchor: 0 1\n" + repeat + SECOND_AFFINE
+        with pytest.raises(InputError) as excinfo:
+            parse_scenario(text)
+        assert str(excinfo.value) == f"line 8: second {repeat.split(':')[0]} in subspace 1"
+
+    def test_anchor_before_span_and_rows_after_it(self):
+        text = HEAD + "mode: affine\nsubspace:\nanchor: 0 1\nspan:\n1 0\nanchor: 0 1\n"
+        with pytest.raises(InputError, match="^line 8: second anchor in subspace 1$"):
+            parse_scenario(text + SECOND_AFFINE)
+        text = HEAD + "mode: affine\nsubspace:\nanchor: 0 1\nspan:\n1 0\n0 1\n"
+        s = parse_scenario(text + SECOND_AFFINE)
+        assert np.array_equal(s.subspaces[0].spanning, np.eye(2))
+        assert np.array_equal(s.subspaces[0].anchor, [0.0, 1.0])
+        text = HEAD + "mode: affine\nsubspace:\nspan:\n1 0\nanchor: 0 1\n0 1\n"
+        assert np.array_equal(parse_scenario(text + SECOND_AFFINE).subspaces[0].spanning, np.eye(2))
+
+    def test_starts_blocks_accumulate_and_last_key_wins(self):
+        s = parse_scenario(HEAD + "k_max: 3\nstarts:\n1 0\n" + PAIR + "starts:\n0 1\nk_max: 4\n")
+        assert [list(x) for x in s.starts] == [[1.0, 0.0], [0.0, 1.0]]
+        assert s.k_max == 4
+
     def test_parse_from_path(self, tmp_path):
         p = tmp_path / "sc.txt"
         p.write_text(MINIMAL)
@@ -161,6 +192,14 @@ class TestFormatRoundTrip:
                 assert np.array_equal(a.anchor, b.anchor)
         for x, y in zip(s1.starts, s2.starts):
             assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("name", ["run # 1", "  padded ", "two\nlines", "", "tail\r", "sep\x1crow"])
+    def test_a_name_its_line_cannot_carry_is_rejected(self, name):
+        s = replace(parse_scenario(MINIMAL), name=name)
+        with pytest.raises(InputError) as excinfo:
+            format_scenario(s)
+        assert str(excinfo.value) == (
+            f"name must be one nonempty line with no '#' and no outer whitespace, got {name!r}")
 
     def test_round_trip_preserves_generated_floats_exactly(self):
         s1 = generate_two_subspace(37.5, 6, 2, seed=13)
@@ -227,12 +266,6 @@ class TestGenerators:
             generate_random(2, 5, [2, 6], seed=0)
         with pytest.raises(InputError):
             generate_random(2, 5, [2], seed=0)
-
-
-HEAD = "projscenario v1\nambient_dim: 2\n"
-# Two lines of R^2 on lines 3-8 after HEAD; an appended line is line 9.
-PAIR = "subspace:\nspan:\n1 0\nsubspace:\nspan:\n0 1\n"
-AFFINE_PAIR = "mode: affine\nsubspace:\nspan:\n1 0\nanchor: 0 1\nsubspace:\nspan:\n0 1\nanchor: 2 0\n"
 
 
 def _spec(rows, line=0):
