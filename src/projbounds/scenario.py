@@ -9,9 +9,10 @@ Everything else is either a ``key: value`` line or a bare numeric row
 (whitespace-separated floats) attached to the most recent ``span:`` or
 ``starts:`` opener.
 
-Top-level keys::
+Top-level keys (a repeated key keeps its last value)::
 
-    name: <string>                      optional, default "unnamed"
+    name: <string>                      one line, no ``#``, no outer
+                                        whitespace; default "unnamed"
     ambient_dim: <int >= 1>             required before any vector row
     mode: linear | affine               default linear
     method: simultaneous | cyclic | product_alternating
@@ -34,8 +35,10 @@ Blocks::
     starts:                             numeric rows follow, one start
                                         vector per line
 
-A subspace block ends at the next ``subspace:``, ``starts:``, or top-level
-key.  Validation failures name the offending field and line.
+A subspace block takes one ``span:`` and one ``anchor:``, in either order;
+rows after ``anchor:`` still belong to its span.  The block ends at the
+next ``subspace:``, ``starts:`` or top-level key; ``starts:`` blocks
+accumulate.  Validation failures name the offending field and line.
 
 Example::
 
