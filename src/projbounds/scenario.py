@@ -237,7 +237,7 @@ def parse_scenario(source) -> Scenario:
     rows: list | None = None  # the open span or starts rows
     for lineno, line in lines:
         m = _KEY_RE.match(line)
-        key, value = (m.group(1), m.group(2).strip()) if m else (None, line)
+        key, value = (m.group(1), m.group(2).strip()) if m else (None, None)
         if key in _SCALAR_KEYS:
             fields[key] = _SCALAR_KEYS[key](value, key, lineno)
             block = rows = None
@@ -299,7 +299,7 @@ def format_scenario(s: Scenario) -> str:
         value = getattr(s, key)
         if isinstance(value, tuple):
             value = " ".join(value)
-        # Unset, random_starts and checks are left out: their defaults hold.
+        # random_starts and checks are written only when set; unset, their defaults hold.
         if value or key not in ("random_starts", "checks"):
             lines.append(f"{key}: {value}")
     for spec in s.subspaces:
