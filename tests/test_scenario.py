@@ -1,5 +1,4 @@
 import dataclasses
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,7 +194,7 @@ class TestFormatRoundTrip:
 
     @pytest.mark.parametrize("name", ["run # 1", "  padded ", "two\nlines", "", "tail\r", "sep\x1crow"])
     def test_a_name_its_line_cannot_carry_is_rejected(self, name):
-        s = replace(parse_scenario(MINIMAL), name=name)
+        s = dataclasses.replace(parse_scenario(MINIMAL), name=name)
         with pytest.raises(InputError) as excinfo:
             format_scenario(s)
         assert str(excinfo.value) == (
