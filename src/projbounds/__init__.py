@@ -21,7 +21,6 @@ from .angles import (
 )
 from .errors import (
     ContainmentError,
-    DegenerateError,
     InfeasibleError,
     InputError,
     ProjBoundsError,
@@ -63,7 +62,6 @@ __all__ = [
     "AffineFamily",
     "AffineSubspace",
     "ContainmentError",
-    "DegenerateError",
     "Family",
     "FriedrichsResult",
     "InfeasibleError",

@@ -22,8 +22,9 @@ common intersection.  Three routes are provided:
 When every reduced part M_i intersect M-perp is trivial, that is when
 every M_i equals M (:attr:`Family.degenerate`), the supremum ranges over
 an empty set.  By convention the value is then 0 with the
-``degenerate`` flag set; the norm-inversion route refuses such input
-because the inversion formula does not cover it.
+``degenerate`` flag set, on the gram and principal routes alike; the
+norm-inversion route returns None, because the inversion formula does
+not cover it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, InputError
+from .errors import InputError
 from .numlin import spectral_norm
 from .subspaces import Family, Subspace
 
@@ -92,16 +93,17 @@ def cos_two(M1: Subspace | Family, M2: Subspace | None = None) -> FriedrichsResu
 
     Computes M = M1 intersect M2, removes it from both subspaces, and
     returns the largest singular value of the cross-Gram of the reduced
-    bases.  Degenerate (value 0, flag set) when either reduced part is
-    trivial.  ``M1`` may instead be the pair itself, with ``M2`` omitted;
-    a two-member :class:`Family` passed so reuses its intersection.
+    bases: 0 for a nested pair, one reduced part being trivial.  Degenerate
+    (value 0, flag set) exactly when the pair is (:attr:`Family.degenerate`).
+    ``M1`` may instead be the pair itself, with ``M2`` omitted; a two-member
+    :class:`Family` passed so reuses its intersection.
     """
     pair = Family.of(M1 if M2 is None else (M1, M2), 2)
     if len(pair) != 2:
         raise InputError(f"cos_two takes exactly two subspaces, got {len(pair)}")
-    r1, r2 = pair.reduced
-    if r1.dim == 0 or r2.dim == 0:
+    if pair.degenerate:
         return _clamped(0.0, True)
+    r1, r2 = pair.reduced
     return _clamped(spectral_norm(r1.basis.T @ r2.basis))
 
 
@@ -124,7 +126,7 @@ def friedrichs_gram(subspaces) -> FriedrichsResult:
     return _clamped((fam.reduced_gram_norm - 1.0) / (len(fam) - 1.0))
 
 
-def friedrichs_from_norm(subspaces) -> FriedrichsResult:
+def friedrichs_from_norm(subspaces) -> FriedrichsResult | None:
     """Friedrichs number inverted from an operator norm.
 
     Uses the identity relating the averaged projector to the Friedrichs
@@ -135,18 +137,14 @@ def friedrichs_from_norm(subspaces) -> FriedrichsResult:
     solved for the cosine.  With A = [Q_1 ... Q_r] / sqrt(r), T = A A^T is
     positive semidefinite with eigenvalue 1 exactly on M, so the left side
     is T's (dim M + 1)-th largest eigenvalue, from the smaller of A^T A and
-    A A^T.  Raises DegenerateError on a degenerate family
-    (:attr:`Family.degenerate`, every M_i equal to M), because the left side
-    is then 0 and the inversion formula does not apply (it would report a
-    spurious negative value).
+    A A^T.  None on a degenerate family (:attr:`Family.degenerate`, every
+    M_i equal to M): the left side is then 0, and the inversion formula does
+    not apply (it would report a spurious negative value).
     """
     fam = Family.of(subspaces, 2)
     r = len(fam)
     if fam.degenerate:
-        raise DegenerateError(
-            "every subspace equals the intersection; the norm identity "
-            "does not determine a Friedrichs number here"
-        )
+        return None
     A = np.hstack([S.basis for S in fam]) / np.sqrt(r)
     gram = A.T @ A if A.shape[0] >= A.shape[1] else A @ A.T
     nu = float(np.linalg.eigvalsh(gram)[-1 - fam.intersection.dim])

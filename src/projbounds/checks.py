@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateError, InputError
+from .errors import InputError
 from .methods import (IterationTrace, cyclic_operator, error_operator_norm, kw_bound,
                       optimal_bound_simultaneous, simultaneous_operator, verify_error_identity)
 from .productspace import ProductSpaceModel, build_product, chain_residual_profile, pierra_lift_residual
@@ -44,9 +44,7 @@ class CheckInputs:
 
 
 def _chain(run: CheckInputs) -> np.ndarray:
-    # A degenerate family makes the chain raise before any product space
-    # is built; residual() then reads the degenerate witness.
-    return chain_residual_profile(run.family if run.family.degenerate else run.product, range(1, run.k_max + 1))
+    return chain_residual_profile(run.product, range(1, run.k_max + 1))
 
 
 def _kw(run: CheckInputs) -> np.ndarray:
@@ -104,13 +102,7 @@ def residual(name: str, run: CheckInputs) -> tuple[float, str]:
     check = CHECKS[name]
     if not check.members:
         return check.fn(run)
-    try:
-        values = check.fn(run)
-    except DegenerateError as exc:
-        # Only the chain raises it.  ||T - P_M|| walked on the reduced span then
-        # checks the verdict: exactly 0 when that span has no columns.
-        run.chain_residuals = [0.0] * 5
-        return error_operator_norm(simultaneous_operator(run.family), 1), f"degenerate: {exc}"
+    values = check.fn(run)
     note = check.note.format(k_max=run.k_max)
     if check.ordered:
         return max(0.0, float(np.max(values[:, :-1] - values[:, 1:]))), note
@@ -131,11 +123,13 @@ def suite_checks(r: int) -> tuple[str, ...]:
 
 
 def validate_checks(names, r: int, start_count: int) -> None:
-    """Raise InputError for an unknown check, a pairs-only one when r != 2,
-    or one that needs a start when ``start_count`` is 0."""
-    for name in names:
+    """Raise InputError for an unknown or repeated check, a pairs-only one
+    when r != 2, or one that needs a start when ``start_count`` is 0."""
+    for i, name in enumerate(names):
         if name not in CHECKS:
             raise InputError(f"unknown check {name!r}; valid checks: {' '.join(CHECKS)}")
+        if name in names[:i]:
+            raise InputError(f"check {name!r} is listed more than once")
         if CHECKS[name].pairs_only and r != 2:
             raise InputError(f"check {name!r} requires exactly two subspaces")
         if CHECKS[name].needs_start and start_count < 1:

@@ -14,10 +14,5 @@ class ContainmentError(ProjBoundsError):
     """A required subspace containment does not hold."""
 
 
-class DegenerateError(ProjBoundsError):
-    """The operation is undefined on a degenerate instance, i.e. when
-    every subspace equals the common intersection."""
-
-
 class InfeasibleError(ProjBoundsError):
     """Affine subspaces with empty intersection."""

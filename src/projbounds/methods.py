@@ -120,7 +120,7 @@ class IterOperator:
         Z = fam.reduced[0].basis
         for R in fam.reduced[1:]:
             Z = R.project(Z)
-        return max(_block_norm(Z), defect)
+        return max(spectral_norm(Z), defect)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,11 +234,6 @@ def _per_k(ks: np.ndarray, value_at):
     return np.array([value_at(k) for k in ks.tolist()], dtype=float)
 
 
-def _block_norm(Z: np.ndarray) -> float:
-    """||Z||, or 0.0 for a block of no columns (a walk of a trivial domain)."""
-    return spectral_norm(Z) if Z.shape[1] else 0.0
-
-
 def _error_step(T: IterOperator):
     """X -> (T - P_M) X, through the bases of the members and of M."""
     M = T.family.intersection.basis
@@ -254,7 +249,7 @@ def error_operator_norm(T: IterOperator, k):
     """
     ks = exponents(k)
     walk = orbit(_error_step(T), T.domain)
-    return _per_k(ks, sweep(ks, _block_norm, walk).get)
+    return _per_k(ks, sweep(ks, spectral_norm, walk).get)
 
 
 def optimal_bound_simultaneous(subspaces, k):
@@ -302,5 +297,5 @@ def verify_error_identity(T: IterOperator, k):
         return _per_k(ks, lambda k: 0.0)
     Q = T.domain
     PQ, walks = T.family.intersection.project(Q), (orbit(T.step, Q), orbit(_error_step(T), Q))
-    residuals = sweep(ks, lambda TkQ, EkQ: _block_norm((TkQ - PQ) - EkQ), *walks)
+    residuals = sweep(ks, lambda TkQ, EkQ: spectral_norm((TkQ - PQ) - EkQ), *walks)
     return _per_k(ks, residuals.get)

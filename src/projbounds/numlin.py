@@ -131,29 +131,29 @@ def null_space(A, cutoff: float | None = None) -> np.ndarray:
 def spectral_norm(A) -> float:
     """Largest singular value of ``A`` (operator 2-norm): s sqrt(lambda_max),
     lambda_max that of the smaller Gram matrix of G = A / s, s = max |A_ij|.
-    The scaling keeps blocks near 1e+-200 in range when squared; an all-zero
-    block returns 0.0 before any copy, Gram or eigenvalue."""
+    The scaling keeps blocks near 1e+-200 in range when squared, and makes
+    lambda_max >= 1.  An empty or all-zero block returns 0.0, as
+    ``np.linalg.norm(A, 2)`` does, before any copy, Gram or eigenvalue."""
     M = as_matrix(A)
-    if M.shape[0] == 0 or M.shape[1] == 0:
-        raise InputError("spectral_norm requires a nonempty matrix")
-    if not (s := float(np.max(np.abs(M)))):
+    if not M.size or not (s := float(np.max(np.abs(M)))):
         return 0.0
     G = M / s
     gram = G.T @ G if G.shape[0] >= G.shape[1] else G @ G.T
-    return s * float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+    return s * float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
 
 
 def symmetric_norm(A) -> float:
-    """Operator 2-norm of a symmetric matrix: its largest absolute eigenvalue.
+    """Operator 2-norm of a square symmetric matrix: its largest absolute
+    eigenvalue, 0.0 for the empty matrix.
 
     ``A`` is symmetrised as (A + A^T) / 2 first, so rounding-level asymmetry
     is harmless; callers must guarantee symmetry by construction, since the
     antisymmetric part is discarded, not measured.
     """
     M = as_matrix(A)
-    if M.shape[0] == 0 or M.shape[0] != M.shape[1]:
-        raise InputError(
-            f"symmetric_norm requires a nonempty square matrix, got {M.shape}"
-        )
+    if M.shape[0] != M.shape[1]:
+        raise InputError(f"symmetric_norm requires a square matrix, got {M.shape}")
+    if not M.size:
+        return 0.0
     w = np.linalg.eigvalsh((M + M.T) / 2.0)
     return float(max(abs(w[0]), abs(w[-1])))

@@ -23,7 +23,8 @@ Q_D^T X is the sum of X's r row blocks over sqrt(r) and Q_D x is
 lift(x)/sqrt(r); so Q_D^T Q_C = [C_1 ... C_r]/sqrt(r), and Q_C^T Y stacks
 the C_i^T Y_i of Y's row blocks.  The two product-operator members are
 norms of n*r x m blocks, m <= sum (dim M_i - dim M) (see
-:func:`chain_residual_profile`).
+:func:`chain_residual_profile`); on a degenerate family m = 0, and the
+chain holds with every member 0, cos(C, D) to rounding.
 
 On the inner product: the averaged form <x, y> = (1/r) sum_i <x_i, y_i>
 often put on the product space is a multiple a > 0 of the standard one,
@@ -42,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .angles import friedrichs_gram, optimal_rate
-from .errors import DegenerateError, InputError
+from .errors import InputError
 from .methods import IterationTrace, block_traces, exponents, orbit, simultaneous_operator, start_block, sweep
 from .numlin import as_points, spectral_norm, symmetric_norm
 from .subspaces import Family, Subspace
@@ -162,19 +163,17 @@ def chain_residual_profile(subspaces, k_values) -> np.ndarray:
     M_r)-perp, so ||A_k|| is the largest singular value of (P_D P_C)^k B -
     P_CD B (the walk starts in D, where P_D P_C is the sandwiched operator).
     Where M = {0}, P_M S and P_CD B are zero blocks, not formed or subtracted:
-    members 1 and 6 are the norms of S^T T^k S and (P_D P_C)^k B.
-    ``subspaces`` may be a model from :func:`build_product`; a degenerate
-    family (:attr:`Family.degenerate`) raises DegenerateError before any
-    product space is built.  ``k_values`` is one integer >= 1 or a nonempty 1-d
+    members 1 and 6 are the norms of S^T T^k S and (P_D P_C)^k B.  On a
+    degenerate family (:attr:`Family.degenerate`) S has no columns, so the
+    walked members are the norms of empty blocks, 0.0, as is q; the angle
+    cos(C, D) is then rounding.  ``subspaces`` may be a model from
+    :func:`build_product`.  ``k_values`` is one integer >= 1 or a nonempty 1-d
     collection of them (:func:`methods.exponents`).
     """
     ks = exponents(k_values)
     walked = np.append(ks, 1)
     model = subspaces if isinstance(subspaces, ProductSpaceModel) else None
     fam = model.family if model else Family.of(subspaces, 2)
-    if fam.degenerate:
-        raise DegenerateError("every subspace equals the intersection: all six chain members "
-                              "are identically zero and the chain holds trivially")
     S, m = fam.reduced_span, fam.intersection.dim
     P_M_S, walk = fam.intersection.project(S) if m else None, orbit(simultaneous_operator(fam).step, S)
     base = sweep(walked, lambda TkS: symmetric_norm(S.T @ (TkS - P_M_S if m else TkS)), walk)

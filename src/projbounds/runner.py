@@ -118,11 +118,10 @@ def run_scenario(s: Scenario) -> Report:
         family = Family.of([Subspace.from_spanning(spec.spanning) for spec in s.subspaces])
 
     gram = friedrichs_gram(family)
-    norm_route = None if family.degenerate else friedrichs_from_norm(family)
     principal = cos_two(family) if s.r == 2 else None
     friedrichs = {
         ROUTE_GRAM: _friedrichs_entry(gram),
-        ROUTE_NORM: _friedrichs_entry(norm_route),
+        ROUTE_NORM: _friedrichs_entry(friedrichs_from_norm(family)),
         ROUTE_PRINCIPAL: _friedrichs_entry(principal),
     }
 

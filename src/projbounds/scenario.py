@@ -7,7 +7,8 @@ A scenario file is plain text.  ``#`` starts a comment; blank lines are
 ignored.  The first significant line must be the header ``projscenario v1``.
 Everything else is either a ``key: value`` line or a bare numeric row
 (whitespace-separated floats) attached to the most recent ``span:`` or
-``starts:`` opener.
+``starts:`` opener.  Any line holding a colon is a key line, its key the
+exact text before the first colon; a numeric row holds none.
 
 Top-level keys (a repeated key keeps its last value)::
 
@@ -61,7 +62,6 @@ Example::
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -86,8 +86,6 @@ __all__ = [
 HEADER = "projscenario v1"
 MODES = ("linear", "affine")
 METHODS = ("simultaneous", "cyclic", "product_alternating")
-
-_KEY_RE = re.compile(r"^([A-Za-z_]+):(.*)$")
 
 
 @dataclass
@@ -236,8 +234,8 @@ def parse_scenario(source) -> Scenario:
     block: dict | None = None  # the open subspace block
     rows: list | None = None  # the open span or starts rows
     for lineno, line in lines:
-        m = _KEY_RE.match(line)
-        key, value = (m.group(1), m.group(2).strip()) if m else (None, None)
+        key, colon, value = line.partition(":")
+        key, value = (key, value.strip()) if colon else (None, None)
         if key in _SCALAR_KEYS:
             fields[key] = _SCALAR_KEYS[key](value, key, lineno)
             block = rows = None
@@ -261,7 +259,7 @@ def parse_scenario(source) -> Scenario:
             else:
                 block = None
                 rows = starts
-        elif m:
+        elif colon:
             _fail(lineno, f"unknown key {key!r}")
         else:
             row = _parse_row(line, lineno)

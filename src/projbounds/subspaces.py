@@ -104,8 +104,6 @@ class Subspace:
         """
         if other.ambient_dim != self.ambient_dim:
             raise InputError("ambient dimensions differ")
-        if other.dim == 0:
-            return True
         Q_s, Q_o = self.basis, other.basis
         return spectral_norm(Q_o - Q_s @ (Q_s.T @ Q_o)) <= PROJECTOR_EQ_TOL
 
@@ -216,7 +214,7 @@ class Family:
         is decided within tolerances, and a member may miss M + M_i' by those."""
         M = self.intersection.basis
         return tuple(
-            spectral_norm(Q - M @ (M.T @ Q) - R @ (R.T @ Q)) if Q.shape[1] else 0.0
+            spectral_norm(Q - M @ (M.T @ Q) - R @ (R.T @ Q))
             for Q, R in ((S.basis, C.basis) for S, C in zip(self, self.reduced))
         )
 

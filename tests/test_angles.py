@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from projbounds import (
-    DegenerateError,
     Family,
     InputError,
     Subspace,
@@ -43,11 +42,14 @@ class TestCosTwo:
         assert res.degenerate
         assert res.value == 0.0
 
-    def test_nested_pair_is_degenerate_with_value_zero(self):
+    def test_nested_pair_has_value_zero_and_is_not_degenerate(self):
+        # M = M_1, so M_1' is trivial, but M_2' is not: the pair is not
+        # degenerate, and the gram route agrees.
         inner = Subspace.from_spanning(np.eye(3)[:, :1])
         outer = Subspace.from_spanning(np.eye(3)[:, :2])
         res = cos_two(inner, outer)
-        assert res.degenerate and res.value == 0.0
+        assert not res.degenerate and res.value == 0.0
+        assert res == friedrichs_gram([inner, outer])
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
@@ -110,10 +112,9 @@ class TestFriedrichsFromNorm:
         res = friedrichs_from_norm(triple_at_120())
         assert res.value == pytest.approx(0.25, abs=1e-12)
 
-    def test_degenerate_input_refused(self):
+    def test_degenerate_input_gives_none(self):
         S = Subspace.from_spanning(np.array([[1.0], [0.0]]))
-        with pytest.raises(DegenerateError):
-            friedrichs_from_norm([S, S])
+        assert friedrichs_from_norm([S, S]) is None
 
     @pytest.mark.parametrize("seed", range(12))
     def test_route_agreement_random(self, seed):
@@ -284,8 +285,7 @@ class TestDegeneracy:
         fam = Family.of([Subspace.from_spanning(A) for A in coincident_spans(n, d)])
         assert [R.dim for R in fam.reduced] == [0, 0]
         assert fam.degenerate and friedrichs_gram(fam).degenerate
-        with pytest.raises(DegenerateError):
-            friedrichs_from_norm(fam)
+        assert cos_two(fam).degenerate and friedrichs_from_norm(fam) is None
 
     @pytest.mark.parametrize("n, d", [(200, 80), (400, 150)])
     def test_two_bases_of_one_subspace_run(self, n, d):
@@ -313,3 +313,6 @@ class TestDegeneracy:
         assert fam.degenerate == (max(extra) == 0)
         assert fam.degenerate == all(R.dim == 0 for R in fam.reduced)
         assert fam.degenerate == friedrichs_gram(fam).degenerate
+        assert fam.degenerate == (friedrichs_from_norm(fam) is None)
+        if r == 2:
+            assert fam.degenerate == cos_two(fam).degenerate

@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from projbounds import InputError, angles, cli, generate_random, generate_two_subspace, subspaces
+from projbounds import InputError, Subspace, angles, cli, generate_random, generate_two_subspace, subspaces
 from projbounds.checks import CHECKS, Check, CheckInputs, residual
 from projbounds.runner import DEFAULT_TOLERANCES, _battery_scenario, run_scenario, verify_battery
 from projbounds.scenario import format_scenario
+from helpers import chain_gaps, dense_chain_residual_profile
 
 
 def table_checks(r):
@@ -207,3 +208,18 @@ def test_identity_rows_share_one_residual_rule(monkeypatch, ordered, expected):
     run = CheckInputs(None, 2, [])
     assert residual("probe", run) == (expected, "k=1..2")
     assert run.chain_residuals is None
+
+
+@pytest.mark.parametrize("s", [
+    generate_random(3, 8, [3, 4, 3], seed=2, k_max=6),
+    generate_two_subspace(50.0, 8, 2, 3, k_max=7),
+    generate_random(3, 4, [4, 4, 4], seed=5, k_max=3),  # degenerate: every member is R^4
+], ids=["family", "pair", "degenerate"])
+def test_chain_residuals_are_each_links_worst_gap(s):
+    # Entry j is the largest |member j+1 - member j| over k = 1..k_max, one
+    # per link of the six-member chain, not one per k.
+    rep = run_scenario(s)
+    family = [Subspace.from_spanning(spec.spanning) for spec in s.subspaces]
+    worst = chain_gaps(dense_chain_residual_profile(family, range(1, s.k_max + 1))).max(axis=0)
+    assert len(rep.chain_residuals) == 5
+    assert np.max(np.abs(np.array(rep.chain_residuals) - worst)) <= 1e-13

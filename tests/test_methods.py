@@ -188,9 +188,9 @@ class TestIterate:
             raise AssertionError("the rate applied T or formed a projector")
 
         # The simultaneous rate reads the gram route, the cyclic one a
-        # block norm; neither reads T or any projector.
+        # spectral norm; neither reads T or any projector.
         monkeypatch.setattr(methods, "friedrichs_gram", counting(methods.friedrichs_gram))
-        monkeypatch.setattr(methods, "_block_norm", counting(methods._block_norm))
+        monkeypatch.setattr(methods, "spectral_norm", counting(methods.spectral_norm))
         rng = np.random.default_rng(47)
         subs = random_family(rng, 3, 8)
         for T in (simultaneous_operator(subs), cyclic_operator(subs)):

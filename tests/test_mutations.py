@@ -11,9 +11,9 @@ turn into a copy of another unnoticed, and so has each side of the
 lemma.  The family has a one-dimensional common part, so C intersect D
 is not {0}, and the scenario iterates in the product space, so
 ``bounds`` reads the lifted traces.  A family wrongly judged degenerate
-is planted on every method's runs: the norm chain's degenerate witness
-refutes it, and so do base-space trace bounds, which read the
-operator's rate.
+is planted on every method's runs: the norm chain refutes it, its q read
+from the verdict and its walked members not, and so do base-space trace
+bounds, which read the operator's rate.
 
 ``MEMBER_FAULTS`` is generated from the identity rows of ``checks.CHECKS``:
 each member of an equal row scaled by 1 + 1e-6, and the two sides of an
@@ -274,9 +274,10 @@ FORCED_DEGENERACY_FAILS = {
 
 @pytest.mark.parametrize("method", FORCED_DEGENERACY_FAILS)
 def test_forced_degeneracy_fails_bounds(monkeypatch, method):
-    # Every route and the norm chain read Family.degenerate.  The chain's
-    # witness ||T - P_M||, walked on the reduced span, is 0 only on a truly
-    # degenerate family; the base-space traces' rate, on a degenerate family
+    # Every route reads Family.degenerate, and so does the chain's q.  The
+    # chain's walked members, ||T - P_M|| on the reduced span among them, do
+    # not: they are 0 only where that span has no columns, on a truly
+    # degenerate family.  The base-space traces' rate, on a degenerate family
     # only the members' rounding-level defects, is refuted by the iterates'
     # errors.  The lifted traces' bounds read cos(C, D), not the verdict.
     assert failed_checks(method) == set()

@@ -131,9 +131,8 @@ class TestSpectralNorm:
             1.0, abs=1e-14
         )
 
-    def test_rejects_empty(self):
-        with pytest.raises(InputError):
-            spectral_norm(np.zeros((0, 0)))
+    def test_empty_is_zero(self):
+        assert spectral_norm(np.zeros((0, 0))) == 0.0
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InputError):
@@ -184,9 +183,8 @@ class TestSpectralNormOracle:
         assert spectral_norm(np.zeros(shape)) == 0.0
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
-    def test_rejects_empty(self, shape):
-        with pytest.raises(InputError):
-            spectral_norm(np.zeros(shape))
+    def test_empty_is_zero_as_in_numpy(self, shape):
+        assert spectral_norm(np.zeros(shape)) == np.linalg.norm(np.zeros(shape), 2) == 0.0
 
     def test_calls_no_svd(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -239,10 +237,13 @@ class TestSymmetricNorm:
         # which is why symmetry tests use spectral_norm
         assert symmetric_norm(np.array([[0.0, 1.0], [-1.0, 0.0]])) == 0.0
 
-    @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (3, 0), (1, 2)])
-    def test_rejects_non_square_and_empty(self, shape):
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 0), (0, 2), (1, 2)])
+    def test_rejects_non_square(self, shape):
         with pytest.raises(InputError):
             symmetric_norm(np.zeros(shape))
+
+    def test_empty_is_zero(self):
+        assert symmetric_norm(np.zeros((0, 0))) == 0.0
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InputError):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from projbounds import (
-    DegenerateError,
     InputError,
     Subspace,
     build_product,
@@ -175,10 +174,17 @@ class TestNormChain:
             0.5, abs=1e-14
         )
 
-    def test_degenerate_family_raises(self):
-        S = Subspace.from_spanning(np.array([[1.0], [0.0]]))
-        with pytest.raises(DegenerateError):
-            chain_residual_profile([S, S], 2)
+    @pytest.mark.parametrize("dims", [(0, 0), (1, 1), (2, 2)])
+    def test_degenerate_family_walks_to_zero(self, dims):
+        # Every member is M, so the reduced span has no columns: the walked
+        # members and q are exactly 0, and the angle cos(C, D) is rounding.
+        rng = np.random.default_rng(sum(dims))
+        A = rng.standard_normal((4, dims[0]))
+        subs = [Subspace.from_spanning(A), Subspace.from_spanning(A @ rng.standard_normal((dims[0],) * 2))]
+        members = chain_residual_profile(subs, [1, 2, 5])
+        assert members.shape == (3, 6)
+        assert (np.delete(members, 3, axis=1) == 0.0).all()
+        assert (0.0 <= members[:, 3]).all() and (members[:, 3] <= 1e-28).all()
 
     def test_rejects_k_zero(self):
         with pytest.raises(InputError):

@@ -122,7 +122,8 @@ class TestRunScenario:
         assert rep.friedrichs["gram_block"]["degenerate"]
         assert rep.friedrichs["norm_inversion"] is None
         chain = next(c for c in rep.check_outcomes if c.name == "norm_chain")
-        assert chain.passed and "degenerate" in chain.note
+        assert chain.passed and chain.note == "max adjacent residuals over k=1..10"
+        assert len(rep.chain_residuals) == 5 and max(rep.chain_residuals) == chain.residual
         assert rep.all_passed()
 
     def test_analyze_mode_suppresses_traces(self):

@@ -284,6 +284,11 @@ ERRORS = [
     (HEAD + "anchor: 0 0\n", "line 3: anchor outside a subspace block"),
     (HEAD + PAIR + "starts: 1 1\n", "line 9: starts takes no inline value; rows follow on their own lines"),
     (HEAD + "bogus: 3\n", "line 3: unknown key 'bogus'"),
+    # Any line holding a colon is a key line, its key the exact text before it.
+    (HEAD + "k-max: 3\n", "line 3: unknown key 'k-max'"),
+    (HEAD + "kmax2: 3\n", "line 3: unknown key 'kmax2'"),
+    (HEAD + "Name : x\n", "line 3: unknown key 'Name '"),
+    (HEAD + "subspace:\nspan:\n1: 0\n", "line 5: unknown key '1'"),
     (HEAD + "1 0\n", "line 3: numeric row outside a span/starts block"),
     (HEAD + "subspace:\n1 0\n", "line 4: numeric row outside a span/starts block"),
     (HEAD + PAIR + "seed: 1\n1 0\n", "line 10: numeric row outside a span/starts block"),
@@ -314,6 +319,7 @@ ERRORS = [
     (HEAD + PAIR + "checks: norm_chain sparkle\n",
      f"unknown check 'sparkle'; valid checks: {' '.join(CHECKS)}"),
     (HEAD + PAIR + "subspace:\nspan:\n1 1\nchecks: kw\n", "check 'kw' requires exactly two subspaces"),
+    (HEAD + PAIR + "checks: kw kw norm_chain\n", "check 'kw' is listed more than once"),
     (HEAD + PAIR + "checks: bounds\n", "check 'bounds' requires at least one start"),
     (HEAD + "method: product_alternating\n" + AFFINE_PAIR,
      "method product_alternating requires linear mode"),
