@@ -93,18 +93,16 @@ def cos_two(M1: Subspace | Family, M2: Subspace | None = None) -> FriedrichsResu
 
     Computes M = M1 intersect M2, removes it from both subspaces, and
     returns the largest singular value of the cross-Gram of the reduced
-    bases: 0 for a nested pair, one reduced part being trivial.  Degenerate
-    (value 0, flag set) exactly when the pair is (:attr:`Family.degenerate`).
+    bases: 0 for a nested pair, one reduced part trivial; degenerate (flag
+    set) exactly when both are, as :attr:`Family.degenerate` decides.
     ``M1`` may instead be the pair itself, with ``M2`` omitted; a two-member
     :class:`Family` passed so reuses its intersection.
     """
     pair = Family.of(M1 if M2 is None else (M1, M2), 2)
     if len(pair) != 2:
         raise InputError(f"cos_two takes exactly two subspaces, got {len(pair)}")
-    if pair.degenerate:
-        return _clamped(0.0, True)
     r1, r2 = pair.reduced
-    return _clamped(spectral_norm(r1.basis.T @ r2.basis))
+    return _clamped(spectral_norm(r1.basis.T @ r2.basis), pair.degenerate)
 
 
 def friedrichs_gram(subspaces) -> FriedrichsResult:

@@ -67,8 +67,8 @@ def as_points(x, dim: int) -> np.ndarray:
 
 def _rank(s: np.ndarray, shape: tuple[int, int]) -> int:
     """Numerical rank from the descending singular values ``s`` of a matrix
-    of ``shape``, under the module's rank policy."""
-    cutoff = max(max(shape) * RANK_RELATIVE_EPS * float(s[0]), RANK_ABSOLUTE_FLOOR)
+    of ``shape``, under the module's rank policy; 0 when ``s`` is empty."""
+    cutoff = max(max(shape) * RANK_RELATIVE_EPS * float(s.max(initial=0.0)), RANK_ABSOLUTE_FLOOR)
     return int(np.count_nonzero(s > cutoff))
 
 
@@ -78,20 +78,18 @@ def orthonormal_basis(A) -> np.ndarray:
     Parameters
     ----------
     A : array-like, (n, m)
-        Input matrix, at least one row.
+        Input matrix of any shape with at least one row; m = 0 is allowed.
 
     Returns
     -------
     Q : ndarray, (n, rank)
         Orthonormal columns spanning the column space of A.  The column
-        count equals the numerical rank of A; an all-zero or empty input
-        yields a matrix with zero columns.
+        count equals the numerical rank of A; an all-zero input, or one
+        with no columns, yields a matrix with zero columns.
     """
     M = as_matrix(A)
     if M.shape[0] < 1:
         raise InputError("orthonormal_basis requires at least one row")
-    if M.shape[1] == 0:
-        return np.zeros((M.shape[0], 0))
     U, s, _ = np.linalg.svd(M, full_matrices=False)
     return U[:, :_rank(s, M.shape)].copy()
 
@@ -102,7 +100,7 @@ def null_space(A, cutoff: float | None = None) -> np.ndarray:
     Parameters
     ----------
     A : array-like, (m, n)
-        Input matrix, at least one column.
+        Input matrix of any shape, m = 0 (kernel R^n) or n = 0 included.
     cutoff : float, optional
         Absolute threshold: right singular vectors whose singular value is
         at most ``cutoff`` span the kernel.  A caller that decides by a
@@ -117,10 +115,6 @@ def null_space(A, cutoff: float | None = None) -> np.ndarray:
         kernel is trivial.
     """
     M = as_matrix(A)
-    if M.shape[1] < 1:
-        raise InputError("null_space requires at least one column")
-    if M.shape[0] == 0:
-        return np.eye(M.shape[1])
     # A thin SVD already yields all n right singular vectors when m >= n;
     # only a wide matrix needs the full factorization for its kernel.
     _, s, Vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])

@@ -132,11 +132,10 @@ def cos_CD(model: ProductSpaceModel) -> float:
     intersect D lies in both, ||Q_C^T Q_D - (Q_C^T Q_CD)(Q_CD^T Q_D)||, read
     from C's diagonal blocks: Q_D^T Q_C = [C_1 ... C_r]/sqrt(r), and
     Q_C^T Q_CD stacks the C_i^T (Q_CD)_i.  Where C intersect D = {0} (M = {0}),
-    P_CD = 0 and the angle is ||Q_C^T Q_D||, with nothing formed to subtract."""
+    P_CD = 0 and the angle is ||Q_C^T Q_D||, with nothing formed to subtract.
+    On a degenerate family it is rounding, and 0.0 where every M_i is {0}."""
     n, CD = model.family.ambient_dim, model.CD.basis
     A = np.hstack(model.C_blocks) / np.sqrt(len(model.family))
-    if model.CD.dim in (A.shape[1], n):
-        return 0.0  # C in D or D in C: no angle, as on a degenerate family
     if not model.CD.dim:
         return spectral_norm(A.T)
     C_CD = np.vstack([C_i.T @ CD[i * n : (i + 1) * n] for i, C_i in enumerate(model.C_blocks)])

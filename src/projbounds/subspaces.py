@@ -124,8 +124,6 @@ def intersection(subspaces) -> Subspace:
     if len(subs) == 1:
         return subs[0]
     base = min(range(len(subs)), key=lambda i: subs[i].dim)
-    if subs[base].dim == 0:
-        return Subspace.trivial(subs[0].ambient_dim)
     Q = subs[base].basis
     stacked = np.vstack(
         [Q - S.basis @ (S.basis.T @ Q) for i, S in enumerate(subs) if i != base]
@@ -142,12 +140,10 @@ def reduced_component(Mi: Subspace, M: Subspace) -> Subspace:
     singular vectors of the residual (I - P_M) Q_i, whose nonzero singular
     values are all 1.  When Mi equals M the residual is rounding noise
     throughout, and a cutoff relative to its own largest value would count
-    some of that noise as rank.
+    some of that noise as rank; the count keeps no column, and R is {0}.
     """
     if not Mi.contains(M):
         raise ContainmentError("M is not contained in Mi")
-    if Mi.dim == M.dim:
-        return Subspace.trivial(Mi.ambient_dim)
     residual = Mi.basis - M.basis @ (M.basis.T @ Mi.basis)
     return Subspace(np.linalg.svd(residual, full_matrices=False)[0][:, : Mi.dim - M.dim])
 

@@ -111,6 +111,25 @@ class TestIntersection:
         with pytest.raises(InfeasibleError):
             intersection_affine([horizontal_line(0.0), horizontal_line(1.0)])
 
+    def test_parallel_lines_just_past_the_threshold_infeasible(self):
+        # the least-squares point is halfway between the lines, so the
+        # residual is 2e-8 / sqrt(2) = 1.4e-8, above FEASIBILITY_TOL * 1
+        # (the scale floor: |b| = 2e-8 is below 1)
+        with pytest.raises(InfeasibleError):
+            intersection_affine([horizontal_line(0.0), horizontal_line(2e-8)])
+
+    def test_consistent_pair_at_large_scale_feasible(self):
+        # anchors and common point of size 1e6 leave a rounding residual far
+        # above FEASIBILITY_TOL in absolute terms, but not relative to |b|
+        rng = np.random.default_rng(17)
+        p = 1e6 * rng.standard_normal(6)
+        fam = [
+            AffineSubspace(anchor=p + L.basis @ (1e6 * rng.standard_normal(L.dim)), direction=L)
+            for L in random_family(rng, 2, 6, [3, 4])
+        ]
+        V = intersection_affine(fam)
+        assert distance_to(V, p) <= 1e-8 * np.linalg.norm(p)
+
     def test_self_intersection(self):
         V = horizontal_line(1.0)
         W = intersection_affine([V, V])

@@ -306,6 +306,13 @@ class TestBounds:
         S = Subspace.from_spanning(np.array([[1.0], [0.0]]))
         assert cyclic_bound([S, S, S], 3) == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cyclic_bound_is_the_k1_norm_to_the_k(self, seed):
+        fam = Family.of(random_family(np.random.default_rng(60 + seed), 3, 8))
+        ks = np.arange(1, 7)
+        expected = error_operator_norm(cyclic_operator(fam), 1) ** ks
+        assert np.allclose(cyclic_bound(fam, ks), expected, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_kw_matches_cyclic_error_norm(self, seed):
         rng = np.random.default_rng(70 + seed)

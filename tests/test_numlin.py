@@ -81,9 +81,12 @@ class TestNullSpace:
         with pytest.raises(InputError):
             null_space(np.array([[np.inf, 0.0]]))
 
-    def test_rejects_no_columns(self):
-        with pytest.raises(InputError):
-            null_space(np.zeros((2, 0)))
+    def test_no_columns_give_the_trivial_kernel(self):
+        assert null_space(np.zeros((2, 0))).shape == (0, 0)
+
+    @pytest.mark.parametrize("cutoff", [None, 1e-3])
+    def test_no_rows_give_the_whole_space(self, cutoff):
+        assert np.array_equal(null_space(np.zeros((0, 3)), cutoff), np.eye(3))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_kernel_annihilated_and_orthogonal_to_row_space(self, seed):

@@ -232,8 +232,9 @@ class TestIntersectionOracle:
             Subspace.trivial(10),
             random_subspace(rng, 10, 7),
         ]
-        assert_matches_oracle(subs)
-        assert intersection(subs).dim == 0
+        for family in (subs, subs[1:2] * 2, [Subspace.trivial(10), Subspace.full(10)]):
+            assert_matches_oracle(family)
+            assert intersection(family).basis.shape == (10, 0)
 
     def test_full_space_member(self):
         rng = np.random.default_rng(13)
@@ -318,8 +319,9 @@ class TestReducedComponent:
         assert same_subspace(R, Subspace.from_spanning(np.eye(3)[:, :1]))
 
     def test_equal_subspaces_give_trivial(self):
-        S = Subspace.from_spanning(np.eye(3)[:, :2])
-        assert reduced_component(S, S).dim == 0
+        for d in (0, 2, 3):
+            S = Subspace.from_spanning(np.eye(3)[:, :d])
+            assert reduced_component(S, S).basis.shape == (3, 0)
 
     def test_trivial_common_part(self):
         S = Subspace.full(2)
