@@ -5,10 +5,12 @@ subspace L = V - V.  The anchor is canonicalized to the least-norm point
 of V (the projection of the origin), which makes the representation unique
 and matches the scale factor ||x - P_V(0)|| appearing in the error bounds.
 
-Projection uses the translation formula P_V(x) = v + P_L(x - v).  The
-iteration routines project in affine form directly, never by pre-
-translating to the linear case, so the translation-consistency tests in
-the suite are a genuine cross-check rather than a tautology.
+Projection uses the translation formula P_V(x) = v + P_L(x - v), which is
+v + P_L x for the canonical anchor (P_L v = 0).  The iteration routines
+project in affine form directly, never by pre-translating to the linear
+case.  The translation-consistency tests in the suite are therefore a
+genuine cross-check rather than a tautology: the sweeps use each member's
+own anchor, never the target's common point.
 """
 
 from __future__ import annotations
@@ -71,10 +73,10 @@ class AffineSubspace:
 
     def project(self, x) -> np.ndarray:
         """Nearest point of the set to x, or to each column of an
-        (ambient x m) block x, via P_V(x) = v + P_L(x - v)."""
+        (ambient x m) block x: v + P_L x, the anchor v being orthogonal to L."""
         x = as_points(x, self.ambient_dim)
         v = self.anchor if x.ndim == 1 else self.anchor[:, None]
-        return v + self.direction.project(x - v)
+        return v + self.direction.project(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,21 +105,16 @@ class AffineFamily:
 def intersection_affine(affines) -> AffineSubspace:
     """Intersection of affine subspaces, or InfeasibleError when empty.
 
-    Solves the stacked membership system (I - P_i) x = (I - P_i) v_i in the
-    least-squares sense; the minimum-norm solution is the canonical anchor
-    and the direction is the intersection of the direction subspaces.  A
-    relative residual above FEASIBILITY_TOL means no common point exists.
+    Solves the stacked membership system (I - P_i) x = (I - P_i) v_i = v_i
+    (each v_i a canonical anchor) in the least-squares sense; the
+    minimum-norm solution is the canonical anchor and the direction is the
+    intersection of the direction subspaces.  A relative residual above
+    FEASIBILITY_TOL means no common point exists.
     """
     fam = AffineFamily.of(affines)
     eye = np.eye(fam.directions.ambient_dim)
-    rows = []
-    rhs = []
-    for V in fam.members:
-        complement = eye - V.direction.projector()
-        rows.append(complement)
-        rhs.append(complement @ V.anchor)
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
+    A = np.vstack([eye - V.direction.projector() for V in fam.members])
+    b = np.concatenate([V.anchor for V in fam.members])
     solution, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
     residual = float(np.linalg.norm(A @ solution - b))
     scale = max(1.0, float(np.linalg.norm(b)))

@@ -56,16 +56,10 @@ ROUTE_PRINCIPAL = "principal_angle"
 
 @dataclass(frozen=True)
 class FriedrichsResult:
-    """A Friedrichs number in [0, 1] and its degeneracy flag.
-
-    ``value`` is clamped to [0, 1]; ``raw`` keeps the unclamped number so
-    strict inequalities (value < 1 on non-degenerate finite-dimensional
-    instances) can be checked without the clamp masking them.
-    """
+    """A Friedrichs number, clamped to [0, 1], and its degeneracy flag."""
 
     value: float
     degenerate: bool
-    raw: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.value <= 1.0:
@@ -75,7 +69,7 @@ class FriedrichsResult:
 
 
 def _clamped(raw: float, degenerate: bool = False) -> FriedrichsResult:
-    return FriedrichsResult(value=min(max(raw, 0.0), 1.0), degenerate=degenerate, raw=raw)
+    return FriedrichsResult(value=min(max(raw, 0.0), 1.0), degenerate=degenerate)
 
 
 def optimal_rate(friedrichs: FriedrichsResult, r: int) -> float:

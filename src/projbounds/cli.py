@@ -11,7 +11,8 @@ Subcommands:
 * ``generate`` - write scenario files with planted or random geometry.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 input
-error (bad arguments, parse failure, infeasible affine intersection).
+error (bad arguments, parse failure, infeasible affine intersection, a
+trace that overflows float64).
 """
 
 from __future__ import annotations

@@ -142,6 +142,8 @@ class IterationTrace:
             object.__setattr__(self, name, A)
         if self.errors.shape != self.bounds.shape:
             raise InputError("errors and bounds must have equal length")
+        if not (np.isfinite(self.errors).all() and np.isfinite(self.bounds).all()):
+            raise InputError("a trace norm overflows float64; rescale the starts and anchors")
 
     def max_violation(self) -> float:
         """Largest amount by which an error exceeds its bound."""

@@ -1,16 +1,12 @@
 """Scenario execution: angles, rates, traces, checks, and report emission.
 
 Reports are plain dataclasses rendered to JSON or CSV.  Rendering is
-byte-stable: identical scenario and seed produce identical files.  Wall
-time is measured and kept on the in-memory report for interactive use but
-is excluded from the serialized document, since a timing field would break
-the byte-for-byte reproducibility the harness guarantees.
+byte-stable: identical scenario and seed produce identical files.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -80,7 +76,6 @@ class Report:
     traces: list[IterationTrace] = field(default_factory=list)
     check_outcomes: list[CheckOutcome] = field(default_factory=list)
     error: dict | None = None
-    wall_time_s: float = 0.0
 
     def all_passed(self) -> bool:
         return self.error is None and all(c.passed for c in self.check_outcomes)
@@ -105,7 +100,6 @@ def run_scenario(s: Scenario) -> Report:
     ``s.checks``, each reported with its residual, passing or not.
     """
     validate_scenario(s)
-    t0 = time.perf_counter()
 
     if s.mode == "affine":
         affine = AffineFamily.of(
@@ -132,7 +126,6 @@ def run_scenario(s: Scenario) -> Report:
             affine.target
         except InfeasibleError as exc:
             report.error = {"kind": "infeasible_intersection", "message": str(exc)}
-            report.wall_time_s = time.perf_counter() - t0
             return report
 
     inputs = CheckInputs(family, s.k_max, list(s.starts) + _random_starts(s))
@@ -153,7 +146,6 @@ def run_scenario(s: Scenario) -> Report:
         value, note = residual(name, inputs)
         report.check_outcomes.append(CheckOutcome(name, value <= tol, value, tol, note))
     report.chain_residuals = inputs.chain_residuals
-    report.wall_time_s = time.perf_counter() - t0
     return report
 
 
@@ -168,7 +160,7 @@ def _trace_entry(index: int, t: IterationTrace) -> dict:
 
 
 def report_to_dict(rep: Report) -> dict:
-    """Canonical JSON-ready form of a report (wall time excluded)."""
+    """Canonical JSON-ready form of a report."""
     return {
         "schema": REPORT_SCHEMA,
         "scenario_name": rep.scenario.name,

@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import json
 from functools import reduce
 
 import numpy as np
@@ -289,3 +290,10 @@ def dense_trace_errors(method, family, x, k_max) -> np.ndarray:
     build = simultaneous_operator if method == "simultaneous" else cyclic_operator
     T, P_M = dense_operator(build(family))
     return dense_walk_errors(lambda z: T @ z, P_M @ x, x, k_max)
+
+
+def strict_json(text: str):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)

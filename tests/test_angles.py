@@ -156,7 +156,7 @@ class TestNormRouteAgainstDenseOracle:
         fam = Family.of(planted_members(seed, n, shared, own, 3 + seed % 2))
         assert fam.intersection.dim == shared
         assert (sum(S.dim for S in fam) < n) == (n == 30)
-        assert abs(friedrichs_from_norm(fam).raw - dense_norm_route(fam)) <= 1e-13
+        assert abs(friedrichs_from_norm(fam).value - dense_norm_route(fam)) <= 1e-13
 
     @pytest.mark.parametrize("theta", [1e-12, 1e-11, 3e-11])
     def test_near_shared_directions_judged_shared(self, theta):
@@ -167,7 +167,7 @@ class TestNormRouteAgainstDenseOracle:
         spans = shared_and_near_spans(rng, theta, 20, 2, 3)
         fam = Family.of([Subspace.from_spanning(np.hstack([A, rng.standard_normal((20, 2))])) for A in spans])
         assert fam.intersection.dim == 5 and not fam.degenerate
-        assert abs(friedrichs_from_norm(fam).raw - dense_norm_route(fam)) <= 1e-13
+        assert abs(friedrichs_from_norm(fam).value - dense_norm_route(fam)) <= 1e-13
 
 
 class TestDefiningQuotient:
@@ -230,8 +230,8 @@ class TestRangeAndInvariance:
         res = friedrichs_gram(subs)
         assert 0.0 <= res.value <= 1.0
         if not res.degenerate:
-            # finite dimensions: never aligned, checked on the unclamped value
-            assert res.raw <= 1.0 - 1e-12
+            # finite dimensions: never aligned (a raw value of 1 or more clamps to 1.0 and fails)
+            assert res.value <= 1.0 - 1e-12
 
     @pytest.mark.parametrize("seed", range(6))
     def test_rotation_invariance(self, seed):

@@ -2,10 +2,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from projbounds import cli, format_scenario, generate_random
 from projbounds.runner import DEFAULT_TOLERANCES, render_battery, verify_battery
+from helpers import strict_json
 
 
 def run_cli(*args, **kwargs):
@@ -129,6 +131,29 @@ class TestRun:
         result = run_cli("run", "--scenario", str(path))
         assert result.returncode == 2
         assert "infeasible" in result.stderr or "empty intersection" in result.stderr
+
+    @pytest.mark.parametrize("doc", [
+        # a start whose norm passes the float64 range
+        "projscenario v1\nambient_dim: 3\nsubspace:\nspan:\n1 0 0\nsubspace:\nspan:\n1 1 0\n"
+        "starts:\n1e300 1e300 1e300\n",
+        # two affine lines whose common point's norm passes it
+        "projscenario v1\nambient_dim: 3\nmode: affine\nsubspace:\nspan:\n1 0 0\nanchor: 0 1e200 0\n"
+        "subspace:\nspan:\n0 1 0\nanchor: 1e200 0 0\nrandom_starts: 2\n",
+    ], ids=["start", "anchors"])
+    def test_overflowing_trace_exits_2_without_a_report(self, doc, tmp_path, capsys):
+        path, out = tmp_path / "huge.scenario", tmp_path / "huge.json"
+        path.write_text(doc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["verify", "--scenario", str(path), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert "overflows float64" in capsys.readouterr().err
+
+    def test_large_finite_start_writes_strict_json(self, tmp_path):
+        path, out = tmp_path / "large.scenario", tmp_path / "large.json"
+        path.write_text("projscenario v1\nambient_dim: 3\nsubspace:\nspan:\n1 0 0\n"
+                        "subspace:\nspan:\n1 1 0\nstarts:\n1e150 1e150 1e150\n")
+        assert cli.main(["verify", "--scenario", str(path), "--out", str(out)]) == 0
+        assert strict_json(out.read_text())["traces"][0]["errors"][0] > 1e150
 
     def test_failing_check_exits_1(self, scenario_file, monkeypatch, capsys):
         # force a failure by making a tolerance impossible

@@ -321,7 +321,7 @@ class TestProductOperatorOnDiagonal:
         C, D = dense_C(model), dense_D(model)
         P_CD = intersection([C, D]).projector()
         alternating = spectral_norm(D.projector() @ C.projector() - P_CD)
-        assert fr.raw < 1.0
+        assert fr.value < 1.0
         assert spectral_norm(dense_error_operator(T)) < 1.0
         assert alternating < 1.0
         assert cos_CD(model) < 1.0

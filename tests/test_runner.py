@@ -9,6 +9,7 @@ import pytest
 from projbounds import Subspace, cli, generate_random, generate_two_subspace, parse_scenario
 from projbounds.checks import applicable_checks
 from projbounds.runner import (
+    render_battery,
     render_report,
     report_to_dict,
     run_scenario,
@@ -16,7 +17,7 @@ from projbounds.runner import (
 )
 from projbounds.scenario import Scenario, SubspaceSpec
 from projbounds.subspaces import SHARED_SINE_TOL
-from helpers import near_pair
+from helpers import near_pair, strict_json
 
 LINES_60 = """\
 projscenario v1
@@ -173,10 +174,18 @@ class TestEmission:
         text = render_report(rep, "json")
         assert json.loads(text) == report_to_dict(rep)
 
-    def test_json_excludes_wall_time(self):
-        rep = run_scenario(parse_scenario(LINES_60))
-        assert rep.wall_time_s > 0.0
-        assert "wall_time" not in render_report(rep, "json")
+    @pytest.mark.parametrize("text", [
+        LINES_60,
+        AFFINE_CORNER,
+        LINES_60.replace("method: simultaneous", "method: product_alternating"),
+    ])
+    def test_report_is_strict_json(self, text):
+        rep = run_scenario(parse_scenario(text))
+        assert strict_json(render_report(rep, "json")) == report_to_dict(rep)
+
+    def test_battery_is_strict_json(self):
+        doc = verify_battery(0, 20)
+        assert strict_json(render_battery(doc)) == doc
 
     def test_csv_row_count(self):
         text = LINES_60.replace("k_max: 5", "k_max: 2").replace("random_starts: 2", "")

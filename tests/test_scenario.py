@@ -256,7 +256,7 @@ class TestGenerators:
         subs = [Subspace.from_spanning(spec.spanning) for spec in s.subspaces]
         res = cos_two(*subs)
         assert not res.degenerate
-        assert res.raw < 1.0
+        assert res.value < 1.0
 
     def test_random_parameter_validation(self):
         with pytest.raises(InputError):
