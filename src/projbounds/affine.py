@@ -6,11 +6,12 @@ of V (the projection of the origin), which makes the representation unique
 and matches the scale factor ||x - P_V(0)|| appearing in the error bounds.
 
 Projection uses the translation formula P_V(x) = v + P_L(x - v), which is
-v + P_L x for the canonical anchor (P_L v = 0).  The iteration routines
-project in affine form directly, never by pre-translating to the linear
-case.  The translation-consistency tests in the suite are therefore a
-genuine cross-check rather than a tautology: the sweeps use each member's
-own anchor, never the target's common point.
+v + P_L x for the canonical anchor (P_L v is rounding of ||v||, even for
+an anchor given far along L, as the constructor cleans it twice).  The
+iteration routines project in affine form directly, never by pre-
+translating to the linear case.  The translation-consistency tests in the
+suite are therefore a genuine cross-check rather than a tautology: the
+sweeps use each member's own anchor, never the target's common point.
 """
 
 from __future__ import annotations
@@ -54,7 +55,10 @@ class AffineSubspace:
 
     def __post_init__(self) -> None:
         v = as_vector(self.anchor, "anchor", self.direction.ambient_dim)
-        v = v - self.direction.project(v)
+        # Twice: one pass leaves a part in L of size eps * ||given anchor||,
+        # the second cuts it to eps * ||v||, so that P_L v is rounding.
+        for _ in range(2):
+            v = v - self.direction.project(v)
         v.setflags(write=False)
         object.__setattr__(self, "anchor", v)
 

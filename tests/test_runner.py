@@ -167,19 +167,32 @@ class TestRunScenario:
         assert rep.traces[0].errors[1] > 1e-10
         assert rep.all_passed()
 
+    @pytest.mark.parametrize("offset", [1e6, 1e9])
+    def test_anchors_given_far_along_their_directions(self, offset):
+        # Three generic hyperplanes of R^4 always meet.  Each anchor is given
+        # `offset` along its own hyperplane from a common point of size 1:
+        # one canonicalising pass leaves a part in the direction of size
+        # eps * offset, which reads as an empty intersection (1e9) or as an
+        # error floor above the shrinking bound (1e6).
+        rng = np.random.default_rng(4)
+        p = rng.standard_normal(4)
+        specs = []
+        for _ in range(3):
+            S = rng.standard_normal((4, 3))
+            specs.append(SubspaceSpec(S, anchor=p + offset * S @ rng.standard_normal(3)))
+        s = Scenario(ambient_dim=4, subspaces=specs, mode="affine", method="cyclic",
+                     k_max=40, starts=[np.zeros(4)], checks=("bounds",))
+        rep = run_scenario(s)
+        assert rep.error is None and rep.all_passed()
+
 
 class TestEmission:
-    def test_json_round_trip(self):
-        rep = run_scenario(parse_scenario(LINES_60))
-        text = render_report(rep, "json")
-        assert json.loads(text) == report_to_dict(rep)
-
     @pytest.mark.parametrize("text", [
         LINES_60,
         AFFINE_CORNER,
         LINES_60.replace("method: simultaneous", "method: product_alternating"),
-    ])
-    def test_report_is_strict_json(self, text):
+    ], ids=["linear", "affine", "product_alternating"])
+    def test_json_round_trip(self, text):
         rep = run_scenario(parse_scenario(text))
         assert strict_json(render_report(rep, "json")) == report_to_dict(rep)
 
